@@ -14,6 +14,13 @@
 //! `spn bench diff` compares only the `speedup` column across runs:
 //! the ratio cancels the host's absolute speed, so it is the one
 //! number here that is comparable across machines.
+//!
+//! The record also carries each model's transcendental floor: the
+//! plan's `exp`/`ln` calls per sample ([`spn_core::PlanStats`]) times
+//! this host's measured libm throughput, before and after the
+//! executor's `exp(0)` shortcut (which skips each sum's max term). The
+//! gap between the floor and `plan_ns_per_sample` is the executor's
+//! own overhead: leaf gathers, vector adds and maxima, dispatch.
 
 use bench::{jobj, write_study_record, StudyArgs, Table};
 use serde::Serialize;
@@ -29,6 +36,17 @@ struct Point {
     treewalk_ns_per_sample: f64,
     plan_ns_per_sample: f64,
     speedup: f64,
+}
+
+#[derive(Serialize)]
+struct Floor {
+    model: &'static str,
+    exp_per_sample: usize,
+    ln_per_sample: usize,
+    /// Every `exp` and `ln` call at the measured libm cost.
+    floor_ns_per_sample: f64,
+    /// The same with each sum's max term skipped by the shortcut.
+    shortcut_floor_ns_per_sample: f64,
 }
 
 /// Best per-sample nanoseconds over repeated timed runs of `f`
@@ -47,6 +65,18 @@ fn best_ns_per_sample(batch: usize, budget: Duration, mut f: impl FnMut()) -> f6
         }
     }
     best
+}
+
+/// Best nanoseconds per call of `f` over `args` (independent calls,
+/// results stored: libm throughput, not latency).
+fn libm_ns(args: &[f64], budget: Duration, f: fn(f64) -> f64) -> f64 {
+    let mut out = vec![0.0; args.len()];
+    best_ns_per_sample(args.len(), budget, || {
+        for (o, &x) in out.iter_mut().zip(args) {
+            *o = f(std::hint::black_box(x));
+        }
+        std::hint::black_box(&out);
+    })
 }
 
 fn measure(
@@ -111,8 +141,19 @@ fn main() {
         "speedup",
     ]);
 
+    // Arguments shaped like the executor's: `x − m` in [-30, 0) for
+    // `exp`, the weighted sum `s` in [1, 3) for `ln`.
+    let ramp = |lo: f64, hi: f64| -> Vec<f64> {
+        (0..4096)
+            .map(|i| lo + (hi - lo) * ((i * 7919) % 4096) as f64 / 4096.0)
+            .collect()
+    };
+    let exp_ns = libm_ns(&ramp(-30.0, -1e-3), budget, f64::exp);
+    let ln_ns = libm_ns(&ramp(1.0, 3.0), budget, f64::ln);
+
     let mut compile_micros = Vec::new();
     let mut points = Vec::new();
+    let mut floors = Vec::new();
     for &bench in models {
         let spn = bench.build_spn();
         let data = bench.dataset(4096, 42);
@@ -120,6 +161,15 @@ fn main() {
         let t0 = Instant::now();
         let plan = CompiledPlan::compile(&spn);
         compile_micros.push((bench.name().to_string(), t0.elapsed().as_secs_f64() * 1e6));
+        let st = plan.stats();
+        let (exps, lns) = (st.exp_per_sample as f64, st.ln_per_sample as f64);
+        floors.push(Floor {
+            model: bench.name(),
+            exp_per_sample: st.exp_per_sample,
+            ln_per_sample: st.ln_per_sample,
+            floor_ns_per_sample: exps * exp_ns + lns * ln_ns,
+            shortcut_floor_ns_per_sample: (exps - lns) * exp_ns + lns * ln_ns,
+        });
 
         for &batch in batches {
             let (tree, fast) = measure(&spn, &plan, &data, batch, budget);
@@ -141,6 +191,25 @@ fn main() {
         }
     }
     table.print();
+
+    println!("\nlibm throughput: exp {exp_ns:.2} ns, ln {ln_ns:.2} ns per call\n");
+    let mut floor_table = Table::new(vec![
+        "model",
+        "exp/sample",
+        "ln/sample",
+        "floor [ns/sample]",
+        "after exp(0) shortcut",
+    ]);
+    for f in &floors {
+        floor_table.row(vec![
+            f.model.to_string(),
+            f.exp_per_sample.to_string(),
+            f.ln_per_sample.to_string(),
+            format!("{:.1}", f.floor_ns_per_sample),
+            format!("{:.1}", f.shortcut_floor_ns_per_sample),
+        ]);
+    }
+    floor_table.print();
 
     let worst_big_batch = points
         .iter()
@@ -175,6 +244,9 @@ fn main() {
     let metrics = jobj(vec![
         ("compile_micros", compile_micros.serialize()),
         ("points", points.serialize()),
+        ("libm_exp_ns", exp_ns.serialize()),
+        ("libm_ln_ns", ln_ns.serialize()),
+        ("floors", floors.serialize()),
     ]);
     let record = RunRecord::new("plan_study", RunKind::Bench, config, metrics);
     write_study_record(

@@ -775,8 +775,7 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
         SpnServer::serve(config, models).map_err(|e| CmdError(format!("cannot serve: {e}")))?;
     let addr = server.local_addr();
     if let Some(path) = args.get("port-file") {
-        std::fs::write(path, addr.port().to_string())
-            .map_err(|e| CmdError(format!("cannot write {path}: {e}")))?;
+        write_port_file(path, addr.port())?;
     }
     eprintln!("spn serve: listening on {addr} (send the Shutdown opcode to stop)");
 
@@ -847,8 +846,7 @@ fn cmd_route(args: &Args) -> Result<CmdResult, CmdError> {
         SpnRouter::start(config).map_err(|e| CmdError(format!("cannot route: {e}")))?;
     let addr = router.local_addr();
     if let Some(path) = args.get("port-file") {
-        std::fs::write(path, addr.port().to_string())
-            .map_err(|e| CmdError(format!("cannot write {path}: {e}")))?;
+        write_port_file(path, addr.port())?;
     }
     eprintln!(
         "spn route: listening on {addr} over {} backend(s) (send the Shutdown opcode to stop)",
@@ -949,6 +947,17 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
         let _ = writeln!(out, "sent shutdown");
     }
     Ok(CmdResult::text(out))
+}
+
+/// Publish a listening port for `--port-file` readers (shared by
+/// `serve` and `route`). The file is written under a temporary name
+/// and renamed into place, so a reader polling for the file never sees
+/// it empty or half written.
+fn write_port_file(path: &str, port: u16) -> Result<(), CmdError> {
+    let tmp = format!("{path}.tmp");
+    std::fs::write(&tmp, port.to_string())
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .map_err(|e| CmdError(format!("cannot write {path}: {e}")))
 }
 
 /// Resolve a target address from `--addr` or `--port-file` (shared by

@@ -15,12 +15,22 @@
 //!   the oracle's own `log_density` — one indexed load per sample
 //!   replaces a binary search, with bit-identical results.
 //! * **Fused log-domain sum kernels.** Sum ops carry `(child, weight,
-//!   log-weight)` terms pre-filtered to `w > 0` in child order; the
-//!   executor specializes `log_sum_exp_weighted` per fan-in (1, 2, n)
-//!   while preserving the oracle's exact float-op order.
-//! * **Batch-major operand layout.** The executor evaluates [`LANES`]
-//!   samples per pass with scratch indexed `op * LANES + lane`, so the
-//!   per-op dispatch cost is amortized across the lane group.
+//!   log-weight)` terms pre-filtered to `w > 0` in child order; one
+//!   weighted log-sum-exp kernel serves every fan-in while preserving
+//!   the oracle's exact float-op order.
+//! * **Tiled operand layout.** The executor evaluates [`LANES`]
+//!   samples per pass with one `[f64; LANES]` tile per op. Products,
+//!   maxima and the MPE kernel loop child-major over a tile's lanes,
+//!   so everything but the libm `exp`/`ln` calls vectorizes; a partial
+//!   tile (the remainder, a 1-row request) works on its live lanes
+//!   only.
+//! * **Exact `exp(0)` shortcut.** A log-sum-exp term whose `x − m` is
+//!   zero — the term attaining the max, and every tie — adds its
+//!   weight without calling `exp`: `exp(±0) == 1.0` and `w·1.0 == w`,
+//!   so a sum with a finite max saves one libm call per lane without
+//!   changing a bit. The (term, lane) pairs that do need `exp` are
+//!   first compacted into one list per sum op, so the shortcut costs
+//!   no data-dependent branch per lane.
 //!
 //! Bit-exactness against the [`crate::Evaluator`] oracle is a hard
 //! contract (pinned by `tests/plan_differential.rs`): every kernel
@@ -33,8 +43,10 @@ use crate::leaf::MARGINALIZED_LOG;
 use crate::query::Query;
 use serde::{Deserialize, Serialize};
 
-/// Samples evaluated per executor pass (the batch-major lane width).
-pub const LANES: usize = 8;
+/// Samples evaluated per executor pass (the tile width). At the
+/// runtime's 1024-sample blocks on NIPS10–80, 16 and 32 lanes measured
+/// alike and 8 slower; 16 is the smaller of the two fast widths.
+pub const LANES: usize = 16;
 
 /// Entries in a lowered leaf table: one per possible byte value.
 const TABLE_SIZE: usize = 256;
@@ -59,7 +71,7 @@ enum PlanOp {
         /// Variable (= dataset column) this leaf reads.
         var: u32,
         /// `table[v] = log density at v`, for every byte value `v`.
-        table: Box<[f64]>,
+        table: Box<[f64; TABLE_SIZE]>,
         /// Log-density at the distribution's mode (MPE's value for an
         /// unobserved variable).
         mode_log: f64,
@@ -93,6 +105,13 @@ pub struct PlanStats {
     pub max_sum_fan_in: usize,
     /// Bytes held in leaf lookup tables.
     pub table_bytes: usize,
+    /// `exp` calls per sample of a [`Query::Complete`] evaluation, one
+    /// per compiled sum term: an upper bound, since the executor's
+    /// `exp(0)` shortcut skips each sum's max term.
+    pub exp_per_sample: usize,
+    /// `ln` calls per sample of a [`Query::Complete`] evaluation, one
+    /// per sum op with at least one term.
+    pub ln_per_sample: usize,
 }
 
 /// An [`Spn`] compiled to a flat instruction buffer.
@@ -122,15 +141,15 @@ impl CompiledPlan {
             sum_ops: 0,
             max_sum_fan_in: 0,
             table_bytes: 0,
+            exp_per_sample: 0,
+            ln_per_sample: 0,
         };
         for node in spn.nodes() {
             let op = match node {
                 Node::Leaf { var, dist } => {
                     stats.leaf_ops += 1;
                     stats.table_bytes += TABLE_SIZE * std::mem::size_of::<f64>();
-                    let table: Box<[f64]> = (0..TABLE_SIZE)
-                        .map(|v| dist.log_density(Some(v as f64)))
-                        .collect();
+                    let table = Box::new(std::array::from_fn(|v| dist.log_density(Some(v as f64))));
                     PlanOp::Leaf {
                         var: *var as u32,
                         table,
@@ -157,6 +176,8 @@ impl CompiledPlan {
                         })
                         .collect();
                     stats.max_sum_fan_in = stats.max_sum_fan_in.max(terms.len());
+                    stats.exp_per_sample += terms.len();
+                    stats.ln_per_sample += usize::from(!terms.is_empty());
                     PlanOp::Sum { terms }
                 }
             };
@@ -203,13 +224,22 @@ impl CompiledPlan {
     }
 }
 
-/// Batched plan interpreter. Owns the lane-major scratch buffer
-/// (`ops × LANES` f64s, allocated once) and streams a [`Dataset`]
-/// through the plan [`LANES`] samples at a time.
+/// One op's values for a tile of [`LANES`] samples.
+type Tile = [f64; LANES];
+
+/// Batched plan interpreter. Owns the tiled scratch (one
+/// `[f64; LANES]` tile per op, allocated once) and streams a
+/// [`Dataset`] through the plan [`LANES`] samples at a time.
 pub struct PlanExecutor<'p> {
     plan: &'p CompiledPlan,
-    /// Lane-major values: `scratch[op * LANES + lane]`.
-    scratch: Vec<f64>,
+    /// Tiled values: `scratch[op][lane]`.
+    scratch: Vec<Tile>,
+    /// Per-term `exp` arguments/results of the sum op being evaluated
+    /// (one tile per term of the widest sum).
+    exps: Vec<Tile>,
+    /// Flat `term * LANES + lane` indices of `exps` that need a libm
+    /// call.
+    live: Vec<u32>,
 }
 
 impl<'p> PlanExecutor<'p> {
@@ -217,7 +247,9 @@ impl<'p> PlanExecutor<'p> {
     pub fn new(plan: &'p CompiledPlan) -> Self {
         PlanExecutor {
             plan,
-            scratch: vec![0.0; plan.ops.len() * LANES],
+            scratch: vec![[0.0; LANES]; plan.ops.len()],
+            exps: vec![[0.0; LANES]; plan.stats.max_sum_fan_in],
+            live: vec![0; plan.stats.max_sum_fan_in * LANES],
         }
     }
 
@@ -285,9 +317,9 @@ impl<'p> PlanExecutor<'p> {
         let mut start = 0;
         while start < n {
             let lanes = LANES.min(n - start);
-            self.run_chunk(query, raw, num_features, start, lanes);
-            let root = (self.plan.ops.len() - 1) * LANES;
-            out.extend_from_slice(&self.scratch[root..root + lanes]);
+            self.run_tile(query, &raw[start * num_features..], num_features, lanes);
+            let root = self.scratch.last().expect("a compiled plan has ops");
+            out.extend_from_slice(&root[..lanes]);
             start += lanes;
         }
     }
@@ -341,10 +373,10 @@ impl<'p> PlanExecutor<'p> {
         let mut start = 0;
         while start < n {
             let lanes = LANES.min(n - start);
-            self.run_chunk(query, raw, num_features, start, lanes);
+            self.run_tile(query, &raw[start * num_features..], num_features, lanes);
             for l in 0..lanes {
                 for &t in taps {
-                    out.push(self.scratch[t as usize * LANES + l]);
+                    out.push(self.scratch[t as usize][l]);
                 }
             }
             start += lanes;
@@ -358,12 +390,27 @@ impl<'p> PlanExecutor<'p> {
         self.eval_batch(query, &data)[0]
     }
 
-    /// Evaluate ops over `lanes` samples starting at row `start`,
-    /// leaving results in the lane-major scratch.
-    fn run_chunk(&mut self, query: &Query, raw: &[u8], nf: usize, start: usize, lanes: usize) {
+    /// Evaluate every op over the first `lanes` rows of `rows`,
+    /// leaving one tile per op in the scratch.
+    fn run_tile(&mut self, query: &Query, rows: &[u8], nf: usize, lanes: usize) {
+        // One body, instantiated per width: a full tile gets the
+        // compile-time width, so its lane loops have a fixed trip count
+        // and vectorize, and a 1-row request gets straight-line scalar
+        // code. Any other partial tile (a remainder) runs the same body
+        // on its live lanes only.
+        match lanes {
+            LANES => self.run_ops(query, rows, nf, LANES),
+            1 => self.run_ops(query, rows, nf, 1),
+            _ => self.run_ops(query, rows, nf, lanes),
+        }
+    }
+
+    #[inline(always)]
+    fn run_ops(&mut self, query: &Query, rows: &[u8], nf: usize, lanes: usize) {
         let mpe = query.is_mpe();
         for (i, op) in self.plan.ops.iter().enumerate() {
-            let base = i * LANES;
+            let (done, rest) = self.scratch.split_at_mut(i);
+            let out = &mut rest[0][..lanes];
             match op {
                 PlanOp::Leaf {
                     var,
@@ -373,102 +420,99 @@ impl<'p> PlanExecutor<'p> {
                 } => {
                     let var = *var as usize;
                     if query.is_observed(var) {
-                        for l in 0..lanes {
-                            let v = raw[(start + l) * nf + var] as usize;
-                            self.scratch[base + l] = table[v];
+                        for (l, o) in out.iter_mut().enumerate() {
+                            *o = table[rows[l * nf + var] as usize];
                         }
                     } else {
                         // Summed out (marginal) or maximized (MPE).
-                        let fill = if mpe { *mode_log } else { MARGINALIZED_LOG };
-                        self.scratch[base..base + lanes].fill(fill);
+                        out.fill(if mpe { *mode_log } else { MARGINALIZED_LOG });
                     }
                 }
                 PlanOp::Product { children } => {
-                    for l in 0..lanes {
-                        // Same fold as the oracle: 0.0, then += in
-                        // child order.
-                        let mut acc = 0.0;
-                        for &c in children.iter() {
-                            acc += self.scratch[c as usize * LANES + l];
-                        }
-                        self.scratch[base + l] = acc;
+                    // The oracle's `Iterator::sum`: fold from -0.0, then
+                    // += in child order.
+                    let mut acc: Tile = [-0.0; LANES];
+                    for &c in children.iter() {
+                        lanewise(&mut acc[..lanes], &done[c as usize], |a, x| *a += x);
                     }
+                    out.copy_from_slice(&acc[..lanes]);
                 }
-                PlanOp::Sum { terms } => {
-                    if mpe {
-                        for l in 0..lanes {
-                            // Oracle's MPE kernel: strict `>`, first
-                            // term wins ties.
-                            let mut best = f64::NEG_INFINITY;
-                            for t in terms.iter() {
-                                let v = t.log_weight + self.scratch[t.child as usize * LANES + l];
-                                if v > best {
-                                    best = v;
-                                }
+                PlanOp::Sum { terms } if mpe => {
+                    // The oracle's MPE kernel: strict `>`, first term
+                    // wins ties.
+                    let mut best: Tile = [f64::NEG_INFINITY; LANES];
+                    for t in terms.iter() {
+                        lanewise(&mut best[..lanes], &done[t.child as usize], |b, x| {
+                            let v = t.log_weight + x;
+                            if v > *b {
+                                *b = v;
                             }
-                            self.scratch[base + l] = best;
-                        }
-                    } else {
-                        self.lse_lanes(terms, base, lanes);
+                        });
                     }
+                    out.copy_from_slice(&best[..lanes]);
                 }
+                PlanOp::Sum { terms } => lse_tile(done, terms, &mut self.exps, &mut self.live, out),
             }
         }
     }
+}
 
-    /// Weighted log-sum-exp over `lanes` samples, specialized per
-    /// fan-in. Every arm reproduces the oracle's exact op order
-    /// (max in term order, then `Σ w·exp(x−m)` in term order).
-    #[inline]
-    fn lse_lanes(&mut self, terms: &[SumTerm], base: usize, lanes: usize) {
-        match terms {
-            // All weights were zero: the oracle's empty max.
-            [] => self.scratch[base..base + lanes].fill(f64::NEG_INFINITY),
-            // Fan-in 1: m = x, s = w·exp(0) = w, result x + ln w.
-            [t] => {
-                let child = t.child as usize * LANES;
-                for l in 0..lanes {
-                    let x = self.scratch[child + l];
-                    self.scratch[base + l] = if x == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        x + t.log_weight
-                    };
-                }
-            }
-            // Fan-in 2: fully unrolled.
-            [a, b] => {
-                let (ca, cb) = (a.child as usize * LANES, b.child as usize * LANES);
-                for l in 0..lanes {
-                    let x0 = self.scratch[ca + l];
-                    let x1 = self.scratch[cb + l];
-                    let m = x0.max(x1);
-                    self.scratch[base + l] = if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let s = a.weight * (x0 - m).exp() + b.weight * (x1 - m).exp();
-                        m + s.ln()
-                    };
-                }
-            }
-            _ => {
-                for l in 0..lanes {
-                    let mut m = f64::NEG_INFINITY;
-                    for t in terms {
-                        m = m.max(self.scratch[t.child as usize * LANES + l]);
-                    }
-                    self.scratch[base + l] = if m == f64::NEG_INFINITY {
-                        f64::NEG_INFINITY
-                    } else {
-                        let mut s = 0.0;
-                        for t in terms {
-                            s += t.weight * (self.scratch[t.child as usize * LANES + l] - m).exp();
-                        }
-                        m + s.ln()
-                    };
-                }
-            }
+/// Apply `f(acc[l], x[l])` for every live lane of `acc`.
+#[inline(always)]
+fn lanewise(acc: &mut [f64], x: &Tile, mut f: impl FnMut(&mut f64, f64)) {
+    for (a, &x) in acc.iter_mut().zip(x) {
+        f(a, x);
+    }
+}
+
+/// Weighted log-sum-exp of `terms` into the live lanes `out`, in the
+/// oracle's exact op order: max folded from `-inf` in term order, then
+/// `Σ w·exp(x−m)` folded from -0.0 in term order, then `m + ln s`.
+#[inline(always)]
+fn lse_tile(
+    done: &[Tile],
+    terms: &[SumTerm],
+    exps: &mut [Tile],
+    live: &mut [u32],
+    out: &mut [f64],
+) {
+    let lanes = out.len();
+    let mut m: Tile = [f64::NEG_INFINITY; LANES];
+    for t in terms {
+        lanewise(&mut m[..lanes], &done[t.child as usize], |m, x| {
+            *m = m.max(x)
+        });
+    }
+    // exp(±0) == 1.0 and w·1.0 == w exactly, so a term that attains
+    // the max (or ties it) keeps e = 1.0 without a libm call. Every
+    // other (term, lane) is compacted into `live` first, so the
+    // shortcut costs no per-lane branch.
+    let exps = &mut exps[..terms.len()];
+    let mut n = 0;
+    for (k, (e, t)) in exps.iter_mut().zip(terms).enumerate() {
+        let x = &done[t.child as usize];
+        for l in 0..lanes {
+            let d = x[l] - m[l];
+            let zero = d == 0.0;
+            e[l] = if zero { 1.0 } else { d };
+            live[n] = (k * LANES + l) as u32;
+            n += usize::from(!zero);
         }
+    }
+    let flat = exps.as_flattened_mut();
+    for &i in &live[..n] {
+        flat[i as usize] = flat[i as usize].exp();
+    }
+    let mut s: Tile = [-0.0; LANES];
+    for (e, t) in exps.iter().zip(terms) {
+        lanewise(&mut s[..lanes], e, |s, e| *s += t.weight * e);
+    }
+    for ((o, &m), &s) in out.iter_mut().zip(&m).zip(&s) {
+        *o = if m == f64::NEG_INFINITY {
+            f64::NEG_INFINITY
+        } else {
+            m + s.ln()
+        };
     }
 }
 
@@ -506,6 +550,8 @@ mod tests {
         assert_eq!(st.sum_ops, 1);
         assert_eq!(st.max_sum_fan_in, 2);
         assert_eq!(st.table_bytes, 4 * 256 * 8);
+        assert_eq!(st.exp_per_sample, 2);
+        assert_eq!(st.ln_per_sample, 1);
         assert_eq!(plan.fingerprint(), spn.fingerprint());
         assert_eq!(plan.name(), "mix");
         assert!(!plan.is_empty());
@@ -556,13 +602,13 @@ mod tests {
 
     #[test]
     fn remainder_lanes_match_whole_chunks() {
-        // 13 samples: one full 8-lane chunk plus a 5-lane remainder.
+        // One full tile plus a 5-lane remainder.
         let spn = mixture();
         let plan = CompiledPlan::compile(&spn);
-        let raw: Vec<u8> = (0..26).map(|i| (i % 2) as u8).collect();
+        let raw: Vec<u8> = (0..2 * (LANES + 5)).map(|i| (i % 2) as u8).collect();
         let data = Dataset::from_raw(raw, 2, 2);
         let out = PlanExecutor::new(&plan).eval_batch(&Query::Complete, &data);
-        assert_eq!(out.len(), 13);
+        assert_eq!(out.len(), LANES + 5);
         let mut ev = Evaluator::new(&spn);
         for (row, &got) in data.rows().zip(&out) {
             assert_eq!(
@@ -642,5 +688,135 @@ mod tests {
         let plan = CompiledPlan::compile(&spn);
         let data = Dataset::from_raw(vec![0, 0, 0], 3, 2);
         PlanExecutor::new(&plan).eval_batch(&Query::Complete, &data);
+    }
+
+    /// Assert the plan and the oracle agree bit for bit on every row of
+    /// `data` under Complete, a one-var marginal and an MPE query.
+    fn assert_all_queries_exact(spn: &Spn, data: &Dataset) {
+        let plan = CompiledPlan::compile(spn);
+        let mut ex = PlanExecutor::new(&plan);
+        let mut ev = Evaluator::new(spn);
+        let mut mask = vec![false; spn.num_vars()];
+        mask[0] = true;
+        for q in [
+            Query::Complete,
+            Query::marginal(mask.clone()),
+            Query::mpe(mask),
+        ] {
+            let out = ex.eval_batch(&q, data);
+            for (row, &got) in data.rows().zip(&out) {
+                let want = ev.eval_bytes(&q, row);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} on {row:?}", q.label());
+            }
+        }
+    }
+
+    #[test]
+    fn tied_maxima_take_the_exact_shortcut() {
+        // Identical children tie on every row: every term of both sums
+        // has `x − m == 0` and adds its bare weight.
+        let mut b = SpnBuilder::new(1);
+        let l0 = b.leaf(0, Leaf::byte_histogram(&[0.2, 0.3, 0.5]));
+        let l1 = b.leaf(0, Leaf::byte_histogram(&[0.2, 0.3, 0.5]));
+        let l2 = b.leaf(0, Leaf::byte_histogram(&[0.2, 0.3, 0.5]));
+        let two = b.sum(vec![(0.3, l0), (0.7, l1)]);
+        let three = b.sum(vec![(0.1, l0), (0.6, l1), (0.3, l2)]);
+        let s = b.sum(vec![(0.5, two), (0.5, three)]);
+        let spn = b.finish(s, "ties").unwrap();
+        // Enough rows for a full tile plus a partial one.
+        let raw: Vec<u8> = (0..LANES + 5).map(|i| (i % 3) as u8).collect();
+        assert_all_queries_exact(&spn, &Dataset::from_raw(raw, 1, 3));
+    }
+
+    #[test]
+    fn neg_infinity_children_match_the_oracle() {
+        // Zero-probability buckets give -inf leaf values: byte 0 is
+        // impossible under `zero0`, byte 1 under `zero1`.
+        let mut b = SpnBuilder::new(2);
+        let zero0 = b.leaf(0, Leaf::byte_histogram(&[0.0, 1.0]));
+        let zero1 = b.leaf(0, Leaf::byte_histogram(&[1.0, 0.0]));
+        let dead = b.leaf(0, Leaf::byte_histogram(&[0.0, 1.0]));
+        let y = b.leaf(1, Leaf::byte_histogram(&[0.5, 0.5]));
+        // Fan-in 1: -inf on byte 0.
+        let one = b.sum(vec![(1.0, zero0)]);
+        // Fan-in 2, one -inf child per row.
+        let mixed = b.sum(vec![(0.4, zero0), (0.6, zero1)]);
+        // Fan-in 2, both children -inf on byte 0.
+        let both = b.sum(vec![(0.5, zero0), (0.5, dead)]);
+        let inner = b.sum(vec![(0.2, one), (0.3, mixed), (0.5, both)]);
+        let root = b.product(vec![inner, y]);
+        let spn = b.finish(root, "zeros").unwrap();
+        let raw: Vec<u8> = (0..2 * (LANES + 3))
+            .map(|i| ((i / 2 + i) % 2) as u8)
+            .collect();
+        assert_all_queries_exact(&spn, &Dataset::from_raw(raw, 2, 2));
+        // Fan-in 1 and 2 at the root: -inf reaches the output.
+        for fan_in in [1, 2] {
+            let mut b = SpnBuilder::new(1);
+            let terms = (0..fan_in)
+                .map(|_| {
+                    let leaf = b.leaf(0, Leaf::byte_histogram(&[0.0, 1.0]));
+                    (1.0 / fan_in as f64, leaf)
+                })
+                .collect();
+            let s = b.sum(terms);
+            let spn = b.finish(s, "zero-root").unwrap();
+            let data = Dataset::from_raw(vec![0, 1], 1, 2);
+            assert_all_queries_exact(&spn, &data);
+            let out =
+                PlanExecutor::new(&CompiledPlan::compile(&spn)).eval_batch(&Query::Complete, &data);
+            assert_eq!(out[0], f64::NEG_INFINITY);
+            assert!(out[1].is_finite());
+        }
+    }
+
+    /// Overwrite every leaf table of `plan` with `v`.
+    fn fill_tables(plan: &mut CompiledPlan, v: f64) {
+        for op in &mut plan.ops {
+            if let PlanOp::Leaf { table, .. } = op {
+                table.fill(v);
+            }
+        }
+    }
+
+    #[test]
+    fn all_nan_children_fold_from_neg_infinity() {
+        // The oracle folds the max from -inf and `f64::max` drops NaN,
+        // so all-NaN children give -inf at every fan-in.
+        for fan_in in [1, 2, 3] {
+            let mut b = SpnBuilder::new(1);
+            let terms = (0..fan_in)
+                .map(|_| {
+                    let leaf = b.leaf(0, Leaf::byte_histogram(&[1.0]));
+                    (1.0 / fan_in as f64, leaf)
+                })
+                .collect();
+            let s = b.sum(terms);
+            let mut plan = CompiledPlan::compile(&b.finish(s, "nan").unwrap());
+            fill_tables(&mut plan, f64::NAN);
+            let out = PlanExecutor::new(&plan)
+                .eval_batch(&Query::Complete, &Dataset::from_raw(vec![0], 1, 1));
+            let want = crate::log_sum_exp_weighted(
+                &vec![f64::NAN; fan_in],
+                &vec![1.0 / fan_in as f64; fan_in],
+            );
+            assert_eq!(want, f64::NEG_INFINITY);
+            assert_eq!(out[0].to_bits(), want.to_bits(), "fan-in {fan_in}");
+        }
+    }
+
+    #[test]
+    fn product_folds_from_negative_zero_like_iterator_sum() {
+        let mut b = SpnBuilder::new(2);
+        let l0 = b.leaf(0, Leaf::byte_histogram(&[1.0]));
+        let l1 = b.leaf(1, Leaf::byte_histogram(&[1.0]));
+        let p = b.product(vec![l0, l1]);
+        let mut plan = CompiledPlan::compile(&b.finish(p, "negzero").unwrap());
+        fill_tables(&mut plan, -0.0);
+        let out = PlanExecutor::new(&plan)
+            .eval_batch(&Query::Complete, &Dataset::from_raw(vec![0, 0], 2, 1));
+        let want: f64 = [-0.0f64, -0.0].iter().sum();
+        assert_eq!(out[0].to_bits(), want.to_bits());
+        assert_eq!(out[0].to_bits(), (-0.0f64).to_bits());
     }
 }

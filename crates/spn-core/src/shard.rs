@@ -23,9 +23,10 @@
 //! its children's values and its own parameters, so re-numbering nodes
 //! into shard arenas changes nothing, and the merge plan replays the
 //! spanning nodes with the tree-walk oracle's exact float-op order
-//! (products: `+=` in child order from 0.0; sums: max over the
-//! positive-weight terms, then `Σ w·exp(x−m)` in term order; MPE sums:
-//! strict-`>` first-wins max of `ln w + x`). `tests/shard_differential.rs`
+//! (products: `+=` in child order from -0.0, the start value of
+//! `Iterator::sum`; sums: max over the positive-weight terms, then
+//! `Σ w·exp(x−m)` in term order; MPE sums: strict-`>` first-wins max
+//! of `ln w + x`). `tests/shard_differential.rs`
 //! pins sharded evaluation bit-identical to [`crate::Evaluator`] and
 //! [`crate::PlanExecutor`] across random networks, cuts and queries.
 
@@ -132,7 +133,7 @@ impl MergePlan {
             let v = match op {
                 MergeOp::Input { shard, tap } => get_tap(*shard, *tap),
                 MergeOp::Product { children } => {
-                    let mut acc = 0.0;
+                    let mut acc = -0.0;
                     for &c in children {
                         acc += scratch[c as usize];
                     }

@@ -6,19 +6,21 @@
 //! runtime's host fast path.
 //!
 //! Coverage axes: random SPN structures, batch sizes straddling the
-//! executor's lane width (1, the lane count, one past it, odd
-//! remainders), and all three [`Query`] shapes — including marginals
+//! executor's tile width (1, one short of [`LANES`], [`LANES`], one
+//! past it, whole tiles plus an odd remainder, the runtime's 1024-row
+//! block), and all three [`Query`] shapes — including marginals
 //! whose unobserved slots hold NaN on the oracle side and arbitrary
 //! bytes on the plan side, and fully-summed-out evidence.
 
 use proptest::prelude::*;
+use spn_core::plan::LANES;
 use spn_core::{CompiledPlan, Dataset, Evaluator, PlanExecutor, Query, RandomSpnConfig};
 use spn_runtime::PlanCache;
 use std::sync::Arc;
 
 /// Strategy: a random-but-valid SPN configuration plus a batch size
-/// chosen to exercise whole lane chunks, scalar remainders and the
-/// single-row path.
+/// chosen to exercise whole tiles, partial tiles on either side of a
+/// tile boundary and the single-row path.
 fn config_and_batch() -> impl Strategy<Value = (RandomSpnConfig, usize)> {
     let cfg = (1usize..=5, 2usize..=4, 1usize..=3, 1usize..=2, any::<u64>()).prop_map(
         |(num_vars, domain, repetitions, max_leaf_region, seed)| RandomSpnConfig {
@@ -29,7 +31,22 @@ fn config_and_batch() -> impl Strategy<Value = (RandomSpnConfig, usize)> {
             seed,
         },
     );
-    let batch = (0usize..8).prop_map(|i| [1usize, 2, 7, 8, 9, 13, 64, 67][i]);
+    let batches = [
+        1,
+        2,
+        7,
+        8,
+        9,
+        13,
+        64,
+        67,
+        LANES - 1,
+        LANES,
+        LANES + 1,
+        2 * LANES + 3,
+        1024,
+    ];
+    let batch = (0..batches.len()).prop_map(move |i| batches[i]);
     (cfg, batch)
 }
 
