@@ -213,6 +213,41 @@ fn idle_timeout_reaps_quiet_connections() {
     server.shutdown();
 }
 
+const THREADED_64CONN_TRACE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/traces/threaded_64conn.spntrace"
+);
+
+/// Record the committed high-connection oracle trace through the
+/// *threaded* engine: NIPS10, 64 connections × 4 requests of 4
+/// samples, every reply digested. Ignored in normal runs — the
+/// committed artifact is the contract that later engines must
+/// reproduce bit for bit.
+#[test]
+#[ignore]
+fn regenerate_threaded_64conn_trace() {
+    let bench = NipsBenchmark::Nips10;
+    let mut server = start_server(bench, ServingMode::Threaded);
+    let cfg = LoadConfig {
+        addr: server.local_addr(),
+        model: bench.name().to_string(),
+        num_features: bench.num_vars() as u32,
+        domain: 255,
+        connections: 64,
+        requests_per_connection: 4,
+        samples_per_request: 4,
+        deadline_ms: 0,
+        seed: 64,
+    };
+    let (report, trace) = record_load(&cfg).expect("record through threaded engine");
+    assert_eq!(report.ok_requests, 256);
+    assert_eq!(trace.records.len(), 256);
+    assert!(trace.records.iter().all(|r| r.reply_digest.is_some()));
+    server.shutdown();
+    trace.write_file(THREADED_64CONN_TRACE).unwrap();
+    assert_eq!(Trace::read_file(THREADED_64CONN_TRACE).unwrap(), trace);
+}
+
 /// Cross-engine bit-exactness (the reactor's correctness oracle): a
 /// trace recorded *through the reactor* replays bit-for-bit through
 /// the *threaded* engine — same reply digests for every request, so
