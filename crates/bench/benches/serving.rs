@@ -19,7 +19,7 @@ use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
-    run_load, synthetic_samples, BatchPolicy, Batcher, LoadConfig, ModelSpec, Reply, ServerConfig,
+    synthetic_samples, BatchPolicy, Batcher, LoadConfig, ModelSpec, Reply, ServerConfig,
     ServerMetrics, SpnServer,
 };
 use std::sync::Arc;
@@ -124,7 +124,7 @@ fn benches(c: &mut Criterion) {
             seed: 17,
         };
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_load(black_box(&cfg)).expect("load run succeeds")))
+            b.iter(|| black_box(black_box(&cfg).run().expect("load run succeeds")))
         });
         drop(server); // graceful shutdown between configurations
     }

@@ -12,7 +12,7 @@
 //! launch path sleeps a fixed per-sample budget while holding the PE,
 //! so device capacity is a known constant independent of host speed.
 //! Every sweep point replays the identical seeded request stream
-//! (`run_load` with a fixed seed). What the sweep measures is the
+//! (`LoadConfig::run` with a fixed seed). What the sweep measures is the
 //! serving layer's concurrency handling: micro-batching across
 //! connections, admission, and queue discipline, as throughput
 //! saturating toward the paced device cap while the median latency
@@ -32,7 +32,7 @@ use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{run_load, BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
+use spn_server::{BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
 use spn_telemetry::{RunKind, RunRecord};
 use std::sync::Arc;
 use std::time::Duration;
@@ -120,7 +120,7 @@ fn main() {
         // stall cannot fail the perf gate.
         let report = (0..2)
             .map(|_| {
-                run_load(&LoadConfig {
+                LoadConfig {
                     addr: server.local_addr(),
                     model: MODEL.name().to_string(),
                     num_features: MODEL.num_vars() as u32,
@@ -130,7 +130,8 @@ fn main() {
                     samples_per_request: SAMPLES_PER_REQUEST,
                     deadline_ms: 0,
                     seed: SEED,
-                })
+                }
+                .run()
                 .expect("load run")
             })
             .max_by(|a, b| a.samples_per_sec.total_cmp(&b.samples_per_sec))

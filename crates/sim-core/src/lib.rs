@@ -27,6 +27,7 @@
 //! the seedable [`SplitMix64`].
 
 pub mod engine;
+pub mod hash;
 pub mod histogram;
 pub mod queue;
 pub mod resource;
@@ -36,6 +37,7 @@ pub mod time;
 pub mod units;
 
 pub use engine::{Engine, Model, Scheduler};
+pub use hash::{digest_lls, fnv1a64};
 pub use histogram::{HistogramSummary, LogHistogram};
 pub use queue::EventQueue;
 pub use resource::{Grant, MultiServer, Timeline};

@@ -19,10 +19,7 @@ use spn_replay::{
 use spn_router::{RouterConfig, SpnRouter};
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::prelude::*;
-use spn_server::{
-    run_load, run_open_loop, BatchPolicy, LoadConfig, ModelSpec, OpenLoopConfig, ReactorConfig,
-    ServerConfig, ServingMode, SpnServer,
-};
+use spn_server::{clamp_connections, BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
 use spn_telemetry::{ModelTelemetry, RunKind, RunRecord, TelemetrySnapshot, TraceCollector};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -103,44 +100,39 @@ COMMANDS:
   serve      [--benchmarks NIPS10,NIPS20] [--pes N] [--threads T] [--block B] [--port P]
              [--batch-samples N] [--batch-delay-us U] [--max-inflight N]
              [--retries R] [--port-file FILE] [--trace FILE.json]
-             [--reactor true|false] [--loop-threads T] [--max-conns C]
-             [--idle-timeout-ms MS]
-             Serve inference over TCP with adaptive micro-batching;
-             runs until a client sends the Shutdown opcode. With
-             --trace, writes a Chrome-trace JSON correlating server
-             and device spans per request on shutdown. The default
-             engine is the nonblocking epoll reactor (--loop-threads
-             event loops, --max-conns connection limit,
-             --idle-timeout-ms idle reaping, 0 = never);
-             --reactor false selects the blocking thread-per-
-             connection engine instead.
+             [--loop-threads T] [--max-conns C] [--idle-timeout-ms MS]
+             Serve inference over TCP with adaptive micro-batching on
+             the nonblocking epoll reactor (--loop-threads event
+             loops, --max-conns connection limit, --idle-timeout-ms
+             idle reaping, 0 = never); runs until a client sends the
+             Shutdown opcode. With --trace, writes a Chrome-trace JSON
+             correlating server and device spans per request on
+             shutdown.
   load       --addr HOST:PORT | --port-file FILE [--benchmark NIPS10]
              [--connections C] [--requests N] [--batch K] [--deadline-ms D]
              [--seed S] [--stats true] [--shutdown true]
-             [--open-loop true] [--workers W] [--run-timeout-ms MS]
-             Load generation against a running server; reports
-             samples/s and p50/p95/p99 latency. Default is
-             closed-loop (a blocking thread per connection). With
-             --open-loop true, a few epoll worker threads multiplex
-             all C connections nonblockingly — the mode that holds
-             thousands of concurrent connections (the count is
-             clamped to the fd budget). Works unchanged against a
-             router (`spn route`) address.
+             Closed-loop load: C connections, dialled before the clock
+             starts and multiplexed over a few epoll worker threads,
+             each issuing N requests back to back; reports samples/s
+             and p50/p95/p99 latency. The connection count is clamped
+             to the fd budget. Works unchanged against a router
+             (`spn route`) address.
   record     --trace-out FILE.spntrace --addr HOST:PORT | --port-file FILE
              [--benchmark NIPS10] [--connections C] [--requests N] [--batch K]
              [--deadline-ms D] [--seed S] [--runs DIR]
-             Closed-loop load like `load`, but records every request
-             (arrival offset, per-request seed, payload and reply
-             digests) into a replayable .spntrace file. With --runs,
-             appends a RunRecord to that store directory.
+             Load like `load`, recording every request (send offset,
+             per-request seed, payload and reply digests) into a
+             replayable .spntrace file. With --runs, appends a
+             RunRecord to that store directory.
   replay     --trace FILE.spntrace --addr HOST:PORT | --port-file FILE
              [--speed X] [--burst-start-ms MS] [--burst-len-ms MS]
              [--verify true|false] [--deadline-ms D] [--runs DIR]
-             Open-loop replay of a recorded trace: requests fire at the
-             original inter-arrival offsets (scaled by --speed; a burst
-             window collapses into one spike), payloads regenerate from
-             the recorded seeds, and replies are verified bit-for-bit
-             against the recorded digests. Exits non-zero on any
+             Replay a recorded trace: each request is due at its
+             recorded offset (scaled by --speed; a burst window
+             collapses into one spike) and goes out no earlier than
+             the previous reply on its connection; payloads regenerate
+             from the recorded seeds, and replies are verified bit for
+             bit against the recorded digests. Exits non-zero on any
              mismatch when verifying.
   bench      diff BASELINE.json CANDIDATE.json [--tolerance F] [--require-complete true]
              Compare the metrics of two RunRecord files (runs/ entries
@@ -715,7 +707,6 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
         "retries",
         "port-file",
         "trace",
-        "reactor",
         "loop-threads",
         "max-conns",
         "idle-timeout-ms",
@@ -745,6 +736,11 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
         });
     }
 
+    let defaults = ServerConfig::default();
+    let idle_ms = args.get_or(
+        "idle-timeout-ms",
+        defaults.idle_timeout.map_or(0, |d| d.as_millis() as u64),
+    )?;
     let config = ServerConfig {
         addr: format!("127.0.0.1:{}", args.get_or("port", 0u16)?),
         batch: BatchPolicy {
@@ -755,21 +751,9 @@ fn cmd_serve(args: &Args) -> Result<CmdResult, CmdError> {
         },
         max_inflight_samples: args.get_or("max-inflight", 1u64 << 20)?,
         trace: trace.clone(),
-        serving: if args.get_or("reactor", true)? {
-            let defaults = ReactorConfig::default();
-            let idle_ms = args.get_or(
-                "idle-timeout-ms",
-                defaults.idle_timeout.map_or(0, |d| d.as_millis() as u64),
-            )?;
-            ServingMode::Reactor(ReactorConfig {
-                loop_threads: args.get_or("loop-threads", defaults.loop_threads)?,
-                max_connections: args.get_or("max-conns", defaults.max_connections)?,
-                idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
-            })
-        } else {
-            ServingMode::Threaded
-        },
-        ..ServerConfig::default()
+        loop_threads: args.get_or("loop-threads", defaults.loop_threads)?,
+        max_connections: args.get_or("max-conns", defaults.max_connections)?,
+        idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
     };
     let mut server =
         SpnServer::serve(config, models).map_err(|e| CmdError(format!("cannot serve: {e}")))?;
@@ -898,38 +882,16 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
         "seed",
         "stats",
         "shutdown",
-        "open-loop",
-        "workers",
-        "run-timeout-ms",
     ])?;
     let addr = resolve_addr(args)?;
-    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
-        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let cfg = LoadConfig {
-        addr,
-        model: bench.name().to_string(),
-        num_features: bench.num_vars() as u32,
-        domain: 255,
-        connections: args.get_or("connections", 4usize)?,
-        requests_per_connection: args.get_or("requests", 64usize)?,
-        samples_per_request: args.get_or("batch", 1u32)?,
-        deadline_ms: args.get_or("deadline-ms", 0u32)?,
-        seed: args.get_or("seed", 1u64)?,
-    };
+    let mut cfg = load_config(args, addr)?;
+    // Margin: stdio, the epoll fds and whatever the process holds open.
+    cfg.connections = clamp_connections(cfg.connections, 64);
+    let report = cfg
+        .run()
+        .map_err(|e| CmdError(format!("load run failed: {e}")))?;
     let mut out = String::new();
-    if args.get_or("open-loop", false)? {
-        let timeout_ms = args.get_or("run-timeout-ms", 120_000u64)?;
-        let ol = OpenLoopConfig {
-            load: cfg,
-            workers: args.get_or("workers", 2usize)?,
-            run_timeout: (timeout_ms > 0).then(|| std::time::Duration::from_millis(timeout_ms)),
-        };
-        let report = run_open_loop(&ol).map_err(|e| CmdError(format!("load run failed: {e}")))?;
-        let _ = writeln!(out, "{}", report.summary());
-    } else {
-        let report = run_load(&cfg).map_err(|e| CmdError(format!("load run failed: {e}")))?;
-        let _ = writeln!(out, "{}", report.summary());
-    }
+    let _ = writeln!(out, "{}", report.summary());
     if args.get("stats").is_some() {
         let mut client = spn_server::Client::connect(addr)
             .map_err(|e| CmdError(format!("cannot connect for stats: {e}")))?;
@@ -947,6 +909,23 @@ fn cmd_load(args: &Args) -> Result<CmdResult, CmdError> {
         let _ = writeln!(out, "sent shutdown");
     }
     Ok(CmdResult::text(out))
+}
+
+/// The synthetic load `load` and `record` offer.
+fn load_config(args: &Args, addr: std::net::SocketAddr) -> Result<LoadConfig, CmdError> {
+    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
+        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
+    Ok(LoadConfig {
+        addr,
+        model: bench.name().to_string(),
+        num_features: bench.num_vars() as u32,
+        domain: 255,
+        connections: args.get_or("connections", 4usize)?,
+        requests_per_connection: args.get_or("requests", 64usize)?,
+        samples_per_request: args.get_or("batch", 1u32)?,
+        deadline_ms: args.get_or("deadline-ms", 0u32)?,
+        seed: args.get_or("seed", 1u64)?,
+    })
 }
 
 /// Publish a listening port for `--port-file` readers (shared by
@@ -1010,8 +989,8 @@ fn append_run(args: &Args, record: &RunRecord, out: &mut String) -> Result<(), C
     Ok(())
 }
 
-/// Closed-loop load like `load`, recording every request into a
-/// replayable `.spntrace` file.
+/// Load like `load`, recording every request into a replayable
+/// `.spntrace` file.
 fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
     args.check_known(&[
         "addr",
@@ -1027,19 +1006,7 @@ fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
     ])?;
     let addr = resolve_addr(args)?;
     let trace_out = args.require("trace-out")?;
-    let bench = NipsBenchmark::from_name(args.get("benchmark").unwrap_or("NIPS10"))
-        .ok_or_else(|| CmdError("unknown benchmark".into()))?;
-    let cfg = LoadConfig {
-        addr,
-        model: bench.name().to_string(),
-        num_features: bench.num_vars() as u32,
-        domain: 255,
-        connections: args.get_or("connections", 4usize)?,
-        requests_per_connection: args.get_or("requests", 64usize)?,
-        samples_per_request: args.get_or("batch", 1u32)?,
-        deadline_ms: args.get_or("deadline-ms", 0u32)?,
-        seed: args.get_or("seed", 1u64)?,
-    };
+    let cfg = load_config(args, addr)?;
     let (report, trace) =
         record_load(&cfg).map_err(|e| CmdError(format!("record run failed: {e}")))?;
     trace
@@ -1080,8 +1047,8 @@ fn cmd_record(args: &Args) -> Result<CmdResult, CmdError> {
     Ok(CmdResult::text(out))
 }
 
-/// Open-loop replay of a recorded trace; non-zero exit on any digest
-/// or payload mismatch when verifying.
+/// Replay a recorded trace; non-zero exit on any digest or payload
+/// mismatch when verifying.
 fn cmd_replay(args: &Args) -> Result<CmdResult, CmdError> {
     args.check_known(&[
         "trace",
@@ -1128,18 +1095,18 @@ fn cmd_replay(args: &Args) -> Result<CmdResult, CmdError> {
             ("deadline_ms", json_u64(u64::from(cfg.deadline_ms))),
         ]),
         json_obj(vec![
-            ("total_requests", json_u64(report.total_requests)),
-            ("ok_requests", json_u64(report.ok_requests)),
-            ("rejected_requests", json_u64(report.rejected_requests)),
-            ("transport_errors", json_u64(report.transport_errors)),
-            ("ok_samples", json_u64(report.ok_samples)),
+            ("total_requests", json_u64(report.total_requests())),
+            ("ok_requests", json_u64(report.load.ok_requests)),
+            ("rejected_requests", json_u64(report.load.rejected_requests)),
+            ("transport_errors", json_u64(report.load.transport_errors)),
+            ("ok_samples", json_u64(report.load.ok_samples)),
             ("digests_checked", json_u64(report.digests_checked)),
             ("digest_mismatches", json_u64(report.digest_mismatches)),
-            ("samples_per_sec", json_f64(report.samples_per_sec)),
-            ("p50_ms", json_f64(report.p50_ms)),
-            ("p95_ms", json_f64(report.p95_ms)),
-            ("p99_ms", json_f64(report.p99_ms)),
-            ("max_ms", json_f64(report.max_ms)),
+            ("samples_per_sec", json_f64(report.load.samples_per_sec)),
+            ("p50_ms", json_f64(report.load.p50_ms)),
+            ("p95_ms", json_f64(report.load.p95_ms)),
+            ("p99_ms", json_f64(report.load.p99_ms)),
+            ("max_ms", json_f64(report.load.max_ms)),
         ]),
     );
     append_run(args, &run, &mut out)?;
@@ -1719,8 +1686,9 @@ mod tests {
         }
     }
 
-    /// The new serving/loadgen knobs through the CLI layer: a serve
-    /// with explicit reactor flags answered by an open-loop load.
+    /// The serving knobs through the CLI layer: a serve with explicit
+    /// reactor flags answered by a load that keeps every connection's
+    /// request in flight at once.
     #[test]
     fn serve_reactor_flags_and_open_loop_load() {
         let dir = std::env::temp_dir().join("spn_cli_reactor_test");
@@ -1733,7 +1701,7 @@ mod tests {
             run_tokens(&format!(
                 "serve --benchmarks NIPS10 --pes 2 --block 256 \
                  --batch-delay-us 500 --port-file {pf} \
-                 --reactor true --loop-threads 2 --max-conns 64 \
+                 --loop-threads 2 --max-conns 64 \
                  --idle-timeout-ms 60000"
             ))
         });
@@ -1745,19 +1713,17 @@ mod tests {
 
         let out = run_tokens(&format!(
             "load --port-file {} --benchmark NIPS10 --connections 8 \
-             --requests 3 --batch 2 --open-loop true --workers 2 \
-             --shutdown true",
+             --requests 3 --batch 2 --shutdown true",
             port_file.display()
         ))
         .unwrap();
         assert!(
-            out.stdout
-                .contains("8 connections (0 rejected at accept, 0 dropped)"),
+            out.stdout.contains("8 connections dialled"),
             "got: {}",
             out.stdout
         );
         assert!(
-            out.stdout.contains("24 ok / 0 rejected"),
+            out.stdout.contains("24 ok / 0 rejected / 0 lost"),
             "got: {}",
             out.stdout
         );

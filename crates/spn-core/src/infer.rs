@@ -13,8 +13,7 @@
 //! value row, or [`Evaluator::eval_mpe`] when the arg-max assignment is
 //! wanted too. The per-sample tree walk here is the *bit-exactness
 //! oracle*; the compiled fast path in [`crate::plan`] must reproduce it
-//! exactly. The pre-`Query` MPE entry point survives as a thin
-//! deprecated wrapper in the compat section at the bottom.
+//! exactly.
 
 use crate::graph::{Node, NodeId, Spn};
 use crate::query::Query;
@@ -277,25 +276,6 @@ impl<'a> Evaluator<'a> {
         }
         self.values[self.spn.root().index()]
     }
-
-    // ------------------------------------------------------------------
-    // Compat wrapper: the pre-`Query` MPE entry point. New code should
-    // go through `eval_mpe`.
-    // ------------------------------------------------------------------
-
-    /// Most Probable Explanation: replaces sums by max and tracks the
-    /// arg-max branch, then reads off one value per variable by
-    /// descending the selected tree. Evidence entries fix variables;
-    /// `None` entries are inferred.
-    ///
-    /// For histogram/categorical leaves the returned value is the
-    /// (left edge of the) most probable bucket; for Gaussians it is the
-    /// mean.
-    #[deprecated(note = "use `eval_mpe` with `Query::mpe_from_evidence(evidence)` instead")]
-    pub fn mpe(&mut self, evidence: &[Option<f64>]) -> Vec<f64> {
-        let (q, row) = Query::mpe_from_evidence(evidence);
-        self.eval_mpe(&q, &row).1
-    }
 }
 
 /// Log-density of a leaf at its mode.
@@ -519,18 +499,5 @@ mod tests {
     fn wrong_mask_arity_panics() {
         let spn = mixture();
         Evaluator::new(&spn).eval(&Query::marginal(vec![true]), &[0.0, 0.0]);
-    }
-
-    /// The deprecated MPE wrapper must stay bit-identical to the
-    /// `Query` surface it delegates to.
-    #[test]
-    #[allow(deprecated)]
-    fn compat_wrappers_delegate_exactly() {
-        let spn = mixture();
-        let mut ev = Evaluator::new(&spn);
-        for evidence in [[None, None], [Some(1.0), None], [Some(0.0), Some(1.0)]] {
-            let (q, row) = Query::mpe_from_evidence(&evidence);
-            assert_eq!(ev.mpe(&evidence), ev.eval_mpe(&q, &row).1);
-        }
     }
 }

@@ -35,6 +35,7 @@ use crate::graph::{Node, NodeId, Spn};
 use crate::infer::mode_log_density;
 use crate::query::Query;
 use crate::scope::Scope;
+use sim_core::SplitMix64;
 use std::collections::HashMap;
 
 /// One scope-disjoint subgraph of the source network.
@@ -508,16 +509,9 @@ fn scope_groups(spn: &Spn, scopes: &[Scope], k: usize, seed: u64) -> Vec<Scope> 
 
     // Fisher–Yates with SplitMix64 — same deterministic generator
     // family the ring and trace formats use.
-    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut rng = SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15);
     for i in (1..parts.len()).rev() {
-        parts.swap(i, (next() % (i as u64 + 1)) as usize);
+        parts.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
     }
 
     let effective = k.min(parts.len()).max(1);
@@ -626,6 +620,26 @@ mod tests {
         assert_eq!(
             plan.eval_bytes(&Query::Complete, &[1]).to_bits(),
             ev.eval_bytes(&Query::Complete, &[1]).to_bits()
+        );
+    }
+
+    #[test]
+    fn cut_matches_pinned_grouping() {
+        // Pinned before the shuffle moved onto `sim_core::SplitMix64`.
+        let spn = crate::nips::NipsBenchmark::Nips20.build_spn();
+        let plan = ShardPlan::cut(&spn, 3, 17);
+        let groups: Vec<Vec<usize>> = plan
+            .shards()
+            .iter()
+            .map(|s| s.scope.iter().collect())
+            .collect();
+        assert_eq!(
+            groups,
+            vec![
+                vec![0, 7, 10, 14, 16, 17, 19],
+                vec![4, 6, 8, 9, 12, 13, 18],
+                vec![1, 2, 3, 5, 11, 15],
+            ]
         );
     }
 

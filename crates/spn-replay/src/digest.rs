@@ -1,34 +1,13 @@
-//! Digests for payloads, replies and trace files.
-//!
-//! FNV-1a (64-bit) with a SplitMix64 finalizer — the same
-//! dependency-free, platform-stable construction the router's hash
-//! ring uses. Not cryptographic; the property that matters here is
-//! that any single-byte change propagates to the output (every
-//! per-byte step is a bijection of the running state), so bit-flips
-//! in a trace file or a reply never go unnoticed.
+//! Digests for payloads, replies and trace files: `sim_core`'s
+//! FNV-1a-64 with the SplitMix64 finalizer, the same construction the
+//! router's hash ring uses. Not cryptographic; the property that
+//! matters here is that any single-byte change propagates to the
+//! output, so bit-flips in a trace file or a reply never go unnoticed.
 
+/// Digest a reply: the log-likelihood vector, bit for bit.
+pub use sim_core::digest_lls;
 /// Digest a byte slice.
-pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
-/// Digest a reply: the log-likelihood vector, bit-for-bit (IEEE-754
-/// little-endian bytes, so two replies digest equal iff they are
-/// byte-identical on the wire).
-pub fn digest_lls(lls: &[f64]) -> u64 {
-    let mut bytes = Vec::with_capacity(lls.len() * 8);
-    for ll in lls {
-        bytes.extend_from_slice(&ll.to_bits().to_le_bytes());
-    }
-    digest_bytes(&bytes)
-}
+pub use sim_core::fnv1a64 as digest_bytes;
 
 #[cfg(test)]
 mod tests {

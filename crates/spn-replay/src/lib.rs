@@ -15,13 +15,14 @@
 //!   digest, and — when the recorder saw an `Ok` reply — a reply
 //!   digest. Checksummed; truncation and corruption decode to typed
 //!   [`TraceError`]s, never panics.
-//! * [`TraceRecorder`] / [`record_load`] — the recorder, hung off the
-//!   loadgen path via `spn-server`'s `LoadObserver` hook.
-//! * [`replay()`] — the open-loop replayer: re-issues a trace against a
-//!   server or router with the original inter-arrival gaps (scaled by
-//!   [`ReplayConfig::speed`], optionally compressed into a
-//!   [`Burst`]), and verifies replies bit-for-bit against the
-//!   recorded digests.
+//! * [`trace_of`] / [`record_load`] — the recorder: a load run's
+//!   report (every request's send offset and reply digest) plus its
+//!   schedule is the trace.
+//! * [`replay()`] — the replayer: turns a trace into an arrival
+//!   schedule for `spn-server`'s load driver with the original
+//!   inter-arrival gaps (scaled by [`ReplayConfig::speed`], optionally
+//!   compressed into a [`Burst`]), and verifies replies bit for bit
+//!   against the recorded digests.
 //! * [`RunStore`] / [`diff_records`] — the durable, append-only
 //!   `runs/` store of [`spn_telemetry::RunRecord`]s, plus the run
 //!   differ behind `spn bench diff` and the CI perf gate.
@@ -35,7 +36,7 @@ pub mod trace;
 
 pub use diff::{diff_records, diff_values, DiffOptions, DiffReport, MetricDelta};
 pub use digest::{digest_bytes, digest_lls};
-pub use record::{record_load, TraceRecorder};
+pub use record::{record_load, trace_of};
 pub use replay::{replay, Burst, ReplayConfig, ReplayError, ReplayReport};
 pub use store::{RunStore, StoreError};
 pub use trace::{scaled_arrival_ns, Trace, TraceError, TraceRecord, TRACE_VERSION};

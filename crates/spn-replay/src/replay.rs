@@ -1,29 +1,23 @@
-//! The open-loop replayer: re-issue a recorded [`Trace`] against a
-//! live server or router.
+//! The replayer: re-issue a recorded [`Trace`] against a live server
+//! or router.
 //!
-//! Open-loop means arrivals come from the *recorded clock*, not from
-//! response completions: each original connection becomes a replay
-//! lane (one thread + one [`Client`]) that fires its requests at the
-//! recorded offsets from a shared start instant, regardless of how
-//! fast the system under test answers. A slow server therefore sees
-//! queue build-up exactly as production would — the property a
-//! closed-loop loadgen (which politely waits) can never reproduce.
+//! A trace becomes an arrival schedule for `spn_server`'s load driver:
+//! each recorded connection is a lane, and each record is due at its
+//! recorded offset, speed-scaled ([`ReplayConfig::speed`]) and
+//! optionally collapsed into a [`Burst`]. Arrivals therefore come from
+//! the recorded clock, not from response completions — a request goes
+//! out at the later of its due time and the previous reply on its
+//! lane — so a slow server sees queue build-up as production would.
 //!
 //! Payloads are regenerated from the per-request seeds and checked
 //! against the recorded payload digests; replies are digested and —
-//! where the trace recorded a reply digest — verified bit-for-bit.
-//! Time can be scaled ([`ReplayConfig::speed`]) and a [`Burst`] can
-//! collapse a window of arrivals into one instantaneous spike.
+//! where the trace recorded a reply digest — verified bit for bit.
 
-use crate::digest::{digest_bytes, digest_lls};
+use crate::digest::digest_bytes;
 use crate::trace::{scaled_arrival_ns, Trace};
-use spn_server::{synthetic_samples, Client, ClientError};
-use spn_telemetry::AtomicHistogram;
+use spn_server::{drive, LoadReport, ScheduledRequest};
 use std::fmt;
 use std::net::SocketAddr;
-use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 /// Burst injection: every arrival whose *recorded* offset falls in
 /// `[start_ms, start_ms + len_ms)` is moved to `start_ms`, turning a
@@ -76,8 +70,6 @@ pub enum ReplayError {
     EmptyTrace,
     /// The initial connections could not be established.
     Connect(std::io::Error),
-    /// A replay lane panicked (a bug, not a workload condition).
-    WorkerPanicked,
 }
 
 impl fmt::Display for ReplayError {
@@ -85,26 +77,19 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::EmptyTrace => write!(f, "trace has no records"),
             ReplayError::Connect(e) => write!(f, "cannot connect for replay: {e}"),
-            ReplayError::WorkerPanicked => write!(f, "replay worker panicked"),
         }
     }
 }
 impl std::error::Error for ReplayError {}
 
-/// What a replay run measured.
+/// What a replay run measured: the driver's report, in trace order,
+/// plus the digest checks.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
-    /// Records in the trace.
-    pub total_requests: u64,
-    /// Requests answered `Ok`.
-    pub ok_requests: u64,
-    /// Requests the server rejected with a typed status.
-    pub rejected_requests: u64,
-    /// Requests lost to transport failures (after one reconnect
-    /// retry each — inference is idempotent).
-    pub transport_errors: u64,
-    /// Samples across `Ok` replies.
-    pub ok_samples: u64,
+    /// The load driver's report; `load.requests[i]` is trace record
+    /// `i`, and two replays of one trace against one system must
+    /// produce identical reply digests there.
+    pub load: LoadReport,
     /// Regenerated payloads whose digest did not match the recorded
     /// one (a corrupt or inconsistent trace; the request is still
     /// sent — the payload is a pure function of the seed either way).
@@ -114,55 +99,31 @@ pub struct ReplayReport {
     /// Of those, how many differed — any nonzero count means the
     /// system under test is *not* bit-identical to the recording.
     pub digest_mismatches: u64,
-    /// Per-record reply digest (`None` where the request was rejected
-    /// or lost), in trace order — two replays of the same trace
-    /// against the same system must produce identical vectors.
-    pub reply_digests: Vec<Option<u64>>,
-    /// Wall-clock of the whole replay.
-    pub elapsed: Duration,
-    /// `Ok` samples per second of wall-clock.
-    pub samples_per_sec: f64,
-    /// Request-latency percentiles, milliseconds.
-    pub p50_ms: f64,
-    /// 95th percentile, ms.
-    pub p95_ms: f64,
-    /// 99th percentile, ms.
-    pub p99_ms: f64,
-    /// Worst request, ms (exact).
-    pub max_ms: f64,
 }
 
 impl ReplayReport {
-    /// All requests accounted for, replies bit-identical where the
-    /// trace had digests, payload regeneration clean.
+    /// Requests in the replayed trace.
+    pub fn total_requests(&self) -> u64 {
+        self.load.requests.len() as u64
+    }
+
+    /// Replies bit-identical where the trace had digests, payload
+    /// regeneration clean.
     pub fn is_faithful(&self) -> bool {
-        self.ok_requests + self.rejected_requests + self.transport_errors == self.total_requests
-            && self.digest_mismatches == 0
-            && self.payload_mismatches == 0
+        self.digest_mismatches == 0 && self.payload_mismatches == 0
     }
 
     /// One-paragraph human summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} requests replayed: {} ok / {} rejected / {} transport errors; \
-             {} samples in {:.3} s => {:.0} samples/s; digests: {}/{} verified \
-             bit-identical ({} mismatches, {} payload mismatches); \
-             latency p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
-            self.total_requests,
-            self.ok_requests,
-            self.rejected_requests,
-            self.transport_errors,
-            self.ok_samples,
-            self.elapsed.as_secs_f64(),
-            self.samples_per_sec,
+            "{} requests replayed: {}; digests: {}/{} verified bit-identical \
+             ({} mismatches, {} payload mismatches)",
+            self.total_requests(),
+            self.load.summary(),
             self.digests_checked - self.digest_mismatches,
             self.digests_checked,
             self.digest_mismatches,
             self.payload_mismatches,
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-            self.max_ms,
         )
     }
 }
@@ -187,14 +148,7 @@ pub fn effective_arrival_ns(arrival_ns: u64, cfg: &ReplayConfig) -> u64 {
     scaled_arrival_ns(adjusted, cfg.speed)
 }
 
-/// Outcome of one replayed request, tagged with its trace index.
-enum Outcome {
-    Ok { digest: u64, samples: u64 },
-    Rejected,
-    Transport,
-}
-
-/// Replay `trace` against `cfg.addr`, open-loop.
+/// Replay `trace` against `cfg.addr`.
 pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> Result<ReplayReport, ReplayError> {
     assert!(
         cfg.speed > 0.0 && cfg.speed.is_finite(),
@@ -203,136 +157,42 @@ pub fn replay(trace: &Trace, cfg: &ReplayConfig) -> Result<ReplayReport, ReplayE
     if trace.records.is_empty() {
         return Err(ReplayError::EmptyTrace);
     }
-
-    // One replay lane per recorded connection, records in trace order.
-    let mut lanes: std::collections::BTreeMap<u32, Vec<usize>> = std::collections::BTreeMap::new();
-    for (idx, r) in trace.records.iter().enumerate() {
-        lanes.entry(r.conn).or_default().push(idx);
-    }
-    // Connect every lane before starting the clock, so dial time does
-    // not eat into the first inter-arrival gaps.
-    let mut clients = Vec::with_capacity(lanes.len());
-    for _ in 0..lanes.len() {
-        clients.push(Client::connect(cfg.addr).map_err(ReplayError::Connect)?);
-    }
-
-    let latency = Arc::new(AtomicHistogram::latency());
-    let t0 = Instant::now();
-    let mut workers = Vec::with_capacity(lanes.len());
-    for ((_, indices), mut client) in lanes.into_iter().zip(clients) {
-        let cfg = cfg.clone();
-        let records: Vec<(usize, crate::trace::TraceRecord)> = indices
-            .into_iter()
-            .map(|i| (i, trace.records[i].clone()))
-            .collect();
-        let latency = Arc::clone(&latency);
-        workers.push(thread::spawn(move || -> Vec<(usize, Outcome, bool)> {
-            let mut out = Vec::with_capacity(records.len());
-            for (idx, rec) in records {
-                // Open loop: fire at the recorded offset no matter how
-                // the previous request fared.
-                let target = t0 + Duration::from_nanos(effective_arrival_ns(rec.arrival_ns, &cfg));
-                let now = Instant::now();
-                if target > now {
-                    thread::sleep(target - now);
-                }
-                let payload =
-                    synthetic_samples(rec.num_samples, rec.num_features, rec.domain, rec.seed);
-                let payload_ok = digest_bytes(&payload) == rec.payload_digest;
-                let r0 = Instant::now();
-                let attempt = |client: &mut Client| {
-                    client
-                        .request(&rec.model)
-                        .samples(&payload, rec.num_samples, rec.num_features)
-                        .deadline_ms(cfg.deadline_ms)
-                        .send()
-                };
-                let result = match attempt(&mut client) {
-                    Err(ClientError::ConnectionClosed | ClientError::Io(_)) => {
-                        // Inference is idempotent: reconnect and retry
-                        // once before declaring the request lost.
-                        match client.reconnect() {
-                            Ok(()) => attempt(&mut client),
-                            Err(_) => Err(ClientError::ConnectionClosed),
-                        }
-                    }
-                    other => other,
-                };
-                let outcome = match result {
-                    Ok(lls) => {
-                        latency.record_duration(r0.elapsed());
-                        Outcome::Ok {
-                            digest: digest_lls(&lls),
-                            samples: lls.len() as u64,
-                        }
-                    }
-                    Err(ClientError::Rejected { .. }) => {
-                        latency.record_duration(r0.elapsed());
-                        Outcome::Rejected
-                    }
-                    Err(_) => Outcome::Transport,
-                };
-                out.push((idx, outcome, payload_ok));
-            }
-            out
-        }));
-    }
-
-    let mut reply_digests: Vec<Option<u64>> = vec![None; trace.records.len()];
-    let mut ok = 0u64;
-    let mut rejected = 0u64;
-    let mut transport = 0u64;
-    let mut ok_samples = 0u64;
-    let mut payload_mismatches = 0u64;
-    for w in workers {
-        let outcomes = w.join().map_err(|_| ReplayError::WorkerPanicked)?;
-        for (idx, outcome, payload_ok) in outcomes {
-            if !payload_ok {
-                payload_mismatches += 1;
-            }
-            match outcome {
-                Outcome::Ok { digest, samples } => {
-                    ok += 1;
-                    ok_samples += samples;
-                    reply_digests[idx] = Some(digest);
-                }
-                Outcome::Rejected => rejected += 1,
-                Outcome::Transport => transport += 1,
-            }
-        }
-    }
-    let elapsed = t0.elapsed();
+    let schedule: Vec<ScheduledRequest> = trace
+        .records
+        .iter()
+        .map(|r| ScheduledRequest {
+            lane: r.conn,
+            due_ns: effective_arrival_ns(r.arrival_ns, cfg),
+            model: r.model.clone(),
+            num_samples: r.num_samples,
+            num_features: r.num_features,
+            domain: r.domain,
+            seed: r.seed,
+            deadline_ms: cfg.deadline_ms,
+        })
+        .collect();
+    let payload_mismatches = schedule
+        .iter()
+        .zip(&trace.records)
+        .filter(|(s, r)| digest_bytes(&s.payload()) != r.payload_digest)
+        .count() as u64;
+    let load = drive(cfg.addr, &schedule).map_err(ReplayError::Connect)?;
 
     let mut digests_checked = 0u64;
     let mut digest_mismatches = 0u64;
     if cfg.verify {
-        for (rec, got) in trace.records.iter().zip(&reply_digests) {
-            if let (Some(expected), Some(got)) = (rec.reply_digest, got) {
+        for (rec, got) in trace.records.iter().zip(&load.requests) {
+            if let (Some(expected), Some(got)) = (rec.reply_digest, got.reply_digest) {
                 digests_checked += 1;
-                if expected != *got {
-                    digest_mismatches += 1;
-                }
+                digest_mismatches += u64::from(expected != got);
             }
         }
     }
-
-    let lat = latency.summary();
     Ok(ReplayReport {
-        total_requests: trace.records.len() as u64,
-        ok_requests: ok,
-        rejected_requests: rejected,
-        transport_errors: transport,
-        ok_samples,
+        load,
         payload_mismatches,
         digests_checked,
         digest_mismatches,
-        reply_digests,
-        elapsed,
-        samples_per_sec: ok_samples as f64 / elapsed.as_secs_f64().max(1e-12),
-        p50_ms: lat.p50 * 1e3,
-        p95_ms: lat.p95 * 1e3,
-        p99_ms: lat.p99 * 1e3,
-        max_ms: lat.max * 1e3,
     })
 }
 

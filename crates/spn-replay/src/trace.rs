@@ -12,7 +12,7 @@
 //! record_count u32
 //! records      record_count × {
 //!     arrival_ns     u64   offset from the run's start
-//!     conn           u32   originating connection (open-loop lane)
+//!     conn           u32   originating connection (replay lane)
 //!     model_id       u16   index into the model table
 //!     num_samples    u32
 //!     num_features   u32
@@ -112,7 +112,7 @@ impl std::error::Error for TraceError {}
 pub struct TraceRecord {
     /// Nanoseconds between the run's start and this request's issue.
     pub arrival_ns: u64,
-    /// The connection that issued it (its open-loop lane at replay).
+    /// The connection that issued it (its lane at replay).
     pub conn: u32,
     /// Model name on the wire.
     pub model: String,
@@ -143,7 +143,7 @@ pub struct Trace {
 /// `arrival_ns / speed`, in monotone integer arithmetic: the speed is
 /// snapped to millionths and applied as one floor division, so for any
 /// fixed `speed > 0` the map preserves (non-strict) arrival order —
-/// the property the open-loop replayer and its property tests rely on.
+/// the property the replayer and its property tests rely on.
 pub fn scaled_arrival_ns(arrival_ns: u64, speed: f64) -> u64 {
     assert!(
         speed > 0.0 && speed.is_finite(),

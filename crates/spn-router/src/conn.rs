@@ -1,18 +1,17 @@
-//! Shutdown-aware blocking reads, shared by every frame-serving loop.
+//! Shutdown-aware blocking reads for the router's client-facing
+//! connection threads.
 //!
-//! Both the single-node server's connection threads and the router's
-//! client-facing threads sit in the same posture: blocked on a socket
-//! read, but obliged to notice a shutdown request between (and during)
-//! frames. The pattern is a short read-timeout on the socket plus a
-//! poll of a stop predicate on every timeout tick — extracted here so
-//! the two loops cannot drift apart.
+//! Each thread sits blocked on a socket read, but must notice a
+//! shutdown request between (and during) frames. The pattern is a
+//! short read-timeout on the socket plus a poll of a stop predicate on
+//! every timeout tick.
 
 use std::io::{self, Read};
 use std::net::TcpStream;
 
 /// Outcome of a polled blocking read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     /// Buffer filled.
     Full,
     /// Clean EOF at a frame boundary.
@@ -26,7 +25,7 @@ pub enum ReadOutcome {
 /// timeout set, or the poll never runs. A clean EOF is only "clean"
 /// before the first byte of the buffer; a torn read mid-buffer is an
 /// error.
-pub fn read_full(
+pub(crate) fn read_full(
     stream: &mut TcpStream,
     buf: &mut [u8],
     stop: impl Fn() -> bool,

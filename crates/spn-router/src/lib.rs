@@ -41,6 +41,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod conn;
 pub mod health;
 pub mod metrics;
 pub mod pool;

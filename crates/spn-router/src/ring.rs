@@ -17,21 +17,9 @@
 /// load imbalance stays in the low single-digit percent range.
 pub const VNODES_PER_WEIGHT: u32 = 64;
 
-/// FNV-1a (64-bit) with a SplitMix64 finalizer: tiny, dependency-free
-/// and stable across platforms — ring determinism is part of the
-/// contract. The finalizer matters: raw FNV has weak avalanche in the
-/// high bits, and vnode keys differ only in a few suffix characters,
-/// which without mixing clusters a backend's vnodes on one arc.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
+// Vnode and model points come from `sim_core::fnv1a64`: stable
+// across platforms, because ring determinism is part of the contract.
+use sim_core::fnv1a64;
 
 /// The ring: sorted virtual nodes, each owned by a backend index.
 #[derive(Debug, Clone)]
@@ -56,7 +44,7 @@ impl HashRing {
             assert!(*weight > 0, "backend '{id}' has zero weight");
             for v in 0..weight * VNODES_PER_WEIGHT {
                 let key = format!("{id}#{v}");
-                ring.push((fnv1a(key.as_bytes()), idx));
+                ring.push((fnv1a64(key.as_bytes()), idx));
             }
         }
         ring.sort_unstable();
@@ -95,7 +83,7 @@ impl HashRing {
     /// order. `k` larger than the backend count returns them all.
     pub fn replicas(&self, model: &str, k: usize) -> Vec<usize> {
         let k = k.min(self.num_backends).max(1);
-        let h = fnv1a(model.as_bytes());
+        let h = fnv1a64(model.as_bytes());
         let start = self.ring.partition_point(|&(vh, _)| vh < h);
         let mut out = Vec::with_capacity(k);
         for i in 0..self.ring.len() {
@@ -117,6 +105,16 @@ mod tests {
 
     fn ids(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 9000 + i)).collect()
+    }
+
+    #[test]
+    fn placement_matches_pinned_replica_sets() {
+        // Pinned before the hash moved into sim-core: placement decides
+        // which backend serves each model, so it must never drift.
+        let ring = HashRing::new(&ids(5));
+        assert_eq!(ring.replicas("NIPS10", 3), vec![3, 0, 2]);
+        assert_eq!(ring.replicas("NIPS20", 3), vec![1, 2, 4]);
+        assert_eq!(ring.replicas("NIPS80", 3), vec![1, 3, 2]);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! mismatch, …) and is passed through to the client unchanged. A
 //! request fails only when every replica is exhausted.
 
+use crate::conn::{read_full, ReadOutcome};
 use crate::health::HealthPolicy;
 use crate::metrics::RouterMetrics;
 use crate::pool::Backend;
 use crate::ring::HashRing;
 use parking_lot::{Condvar, Mutex};
 use spn_server::client::ClientError;
-use spn_server::conn::{read_full, ReadOutcome};
 use spn_server::protocol::{
     parse_header, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
     HEADER_LEN,
@@ -174,6 +174,7 @@ impl SpnRouter {
         let ring = HashRing::new(&config.backends);
 
         let listener = TcpListener::bind(&config.addr)?;
+        epoll::deepen_listen_backlog(&listener)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(RouterShared {
             ring,

@@ -283,8 +283,7 @@ pub struct InferResult {
 
 /// The runtime handle: a device plus a persistent scheduler.
 ///
-/// [`SpnRuntime::run`] is the one-call blocking API (the deprecated
-/// `infer`/`infer_on_pes` wrappers delegate to it);
+/// [`SpnRuntime::run`] is the one-call blocking API;
 /// [`SpnRuntime::scheduler`] exposes the concurrent submit/wait API
 /// underneath it.
 pub struct SpnRuntime {
@@ -361,24 +360,6 @@ impl SpnRuntime {
         let provenance = handle.provenance();
         let values = handle.wait()?;
         Ok(InferResult { values, provenance })
-    }
-
-    /// Run batch inference over a dataset, using all PEs.
-    /// Returns one probability per sample, in dataset order.
-    #[deprecated(note = "use `SpnRuntime::run(data, JobOptions::default())` and read \
-                         `InferResult::values`")]
-    pub fn infer(&self, data: &Dataset) -> Result<Vec<f64>, RuntimeError> {
-        self.run(data, JobOptions::default()).map(|r| r.values)
-    }
-
-    /// Run batch inference restricted to the first `num_pes` PEs
-    /// (the knob behind the scaling experiments). Zero or out-of-range
-    /// PE counts are reported as [`RuntimeError::InvalidConfig`].
-    #[deprecated(note = "use `SpnRuntime::run` with \
-                         `JobOptions::builder().num_pes(n)`")]
-    pub fn infer_on_pes(&self, data: &Dataset, num_pes: u32) -> Result<Vec<f64>, RuntimeError> {
-        let opts = JobOptions::builder().num_pes(num_pes).build()?;
-        self.run(data, opts).map(|r| r.values)
     }
 }
 
@@ -677,16 +658,6 @@ mod tests {
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_run() {
-        let (rt, bench) = runtime(2, RuntimeConfig::default());
-        let data = bench.dataset(64, 3);
-        let via_run = rt.run(&data, JobOptions::default()).unwrap().values;
-        assert_eq!(rt.infer(&data).unwrap(), via_run);
-        assert_eq!(rt.infer_on_pes(&data, 2).unwrap(), via_run);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! samples); the scheduler amortises its per-job cost — block
 //! splitting, device buffer allocation, control-thread wake-ups — over
 //! *large* jobs. The batcher bridges the two regimes: each model owns
-//! a queue into which connection threads deposit requests, and a
+//! a queue into which the event loops deposit requests, and a
 //! worker thread that coalesces whatever is queued into **one**
 //! scheduler job when either
 //!
@@ -55,16 +55,11 @@ pub enum Reply {
 }
 
 /// Where a request's answer goes. The batcher calls this exactly once
-/// per enqueued request, from the demux (or failure) path. The two
-/// serving front-ends plug in differently:
-///
-/// * the threaded server passes a closure over a capacity-1
-///   [`std::sync::mpsc::SyncSender`] and blocks its connection thread on the paired
-///   receiver ("write on my thread");
-/// * the reactor passes a closure that pushes the reply onto its
-///   loop's completion queue and wakes the loop's eventfd ("queue
-///   writable interest") — so demux threads never block on, or write
-///   to, a client socket.
+/// per enqueued request, from the demux (or failure) path. The reactor
+/// passes a closure that pushes the reply onto its loop's completion
+/// queue and wakes the loop's eventfd, so demux threads never block
+/// on, or write to, a client socket; [`Batcher::enqueue`] wraps a
+/// channel for callers that block on the reply.
 pub type ReplySink = Box<dyn FnOnce(Reply) + Send + 'static>;
 
 /// A request parked in the batch queue.

@@ -2,8 +2,7 @@
 //!
 //! One [`Client`] owns one TCP connection and issues one request at a
 //! time (the protocol is strictly request/response per connection —
-//! concurrency comes from opening more connections, which is exactly
-//! what the server's per-connection threads expect).
+//! concurrency comes from opening more connections).
 
 use crate::protocol::{
     decode_results, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,

@@ -18,24 +18,21 @@
 //! * [`server`] — the TCP server: admission control (bounded
 //!   in-flight samples → [`Status::ServerBusy`]), per-request
 //!   deadlines, per-connection fault isolation and graceful
-//!   drain-on-shutdown, fronted by one of two engines
-//!   ([`ServingMode`]);
-//! * [`reactor`] — the default serving engine: a nonblocking epoll
-//!   readiness loop multiplexing thousands of connections over a
-//!   small fixed thread pool, with incremental frame decoding,
-//!   connection limits and idle timeouts (the original blocking
-//!   thread-per-connection engine remains as [`ServingMode::Threaded`],
-//!   the semantic oracle);
+//!   drain-on-shutdown;
+//! * [`reactor`] — the serving engine: a nonblocking epoll readiness
+//!   loop multiplexing thousands of connections over a small fixed
+//!   thread pool, with incremental frame decoding, connection limits
+//!   and idle timeouts;
 //! * [`metrics`] — serving-layer counters and lock-free
 //!   latency/batch-size histograms ([`spn_telemetry::AtomicHistogram`]),
 //!   merged with per-model scheduler metrics into one
 //!   [`spn_telemetry::TelemetrySnapshot`] JSON document behind the
 //!   `Stats` opcode;
 //! * [`client`] — a blocking wire client;
-//! * [`conn`] — shutdown-aware polled reads, shared with the
-//!   `spn-router` cluster front-end's frame loop;
-//! * [`loadgen`] — closed-loop load generation shared by the CLI, the
-//!   benchmark and the tests.
+//! * [`loadgen`] — the load driver: an epoll client that runs an
+//!   arrival schedule (closed-loop synthetic load, or a recorded
+//!   trace) and reports every request, shared by the CLI, the
+//!   benchmarks, the replayer and the tests.
 //!
 //! ## Minimal round trip
 //!
@@ -56,7 +53,6 @@
 
 pub mod batcher;
 pub mod client;
-pub mod conn;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
@@ -65,15 +61,13 @@ pub mod server;
 
 pub use batcher::{BatchPolicy, Batcher, Reply, ReplySink};
 pub use client::{Client, ClientError, InferBuilder};
-pub use conn::{read_full, ReadOutcome};
 pub use loadgen::{
-    clamp_connections, request_seed, run_load, run_load_observed, run_open_loop, synthetic_samples,
-    LoadConfig, LoadObserver, LoadReport, OpenLoopConfig, OpenLoopReport, RequestEvent,
+    clamp_connections, drive, request_seed, synthetic_samples, LoadConfig, LoadReport,
+    RequestResult, ScheduledRequest,
 };
 pub use metrics::{HistogramSummary, ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
 pub use protocol::{Frame, FrameDecoder, InferRequest, Opcode, Status, WireError};
-pub use reactor::ReactorConfig;
-pub use server::{ModelSpec, ServerConfig, ServerError, ServingMode, SpnServer};
+pub use server::{ModelSpec, ServerConfig, ServerError, SpnServer};
 // Telemetry types that appear in this crate's public API, re-exported
 // so callers don't need a direct spn-telemetry dependency.
 pub use spn_telemetry::{SpanCtx, TelemetrySnapshot, TraceCollector, TraceId};

@@ -7,7 +7,7 @@
 //! (batch-size histogram), how long requests sit in the batch queue,
 //! and end-to-end request latency as seen at the server. Everything is
 //! lock-free: counters are relaxed atomics and the three histograms
-//! are [`AtomicHistogram`]s, so connection threads never contend on a
+//! are [`AtomicHistogram`]s, so the event loops never contend on a
 //! mutex to record a latency.
 
 use spn_telemetry::{AtomicHistogram, ReactorTelemetry};

@@ -1,7 +1,6 @@
 //! The nonblocking epoll serving engine.
 //!
-//! Where the threaded engine spends one OS thread per client socket,
-//! the reactor multiplexes every connection over a small fixed pool
+//! The reactor multiplexes every connection over a small fixed pool
 //! of event-loop threads driven by level-triggered `epoll` (via the
 //! vendored [`epoll`] shim):
 //!
@@ -20,7 +19,7 @@
 //!   ([`crate::protocol::InferRequest::decode_owned`]).
 //!
 //! **Request serialization.** A connection handles one request at a
-//! time, exactly like a threaded connection thread: while an `Infer`
+//! time: while an `Infer`
 //! is in flight (or a reply is still flushing) the connection's read
 //! interest is dropped, so pipelined bytes wait in the kernel socket
 //! buffer. The decoder never reads past the current frame's end,
@@ -37,12 +36,11 @@
 //! fall back to `EPOLLOUT` interest on `WouldBlock`.
 //!
 //! **Idle timeout.** A per-loop hashed timer wheel closes connections
-//! idle past [`ReactorConfig::idle_timeout`]; connections with work
+//! idle past [`crate::ServerConfig::idle_timeout`]; connections with work
 //! in flight are never idle-closed, and wheel entries are re-armed
 //! lazily from `last_activity` so per-byte bookkeeping stays O(1).
 //!
-//! Shutdown mirrors the threaded engine: the acceptor stops, the
-//! batchers drain (their sinks flood the completion queues), then
+//! Shutdown: the acceptor stops, the batchers drain (their sinks flood the completion queues), then
 //! every loop flushes pending replies under a bounded grace period
 //! and exits.
 
@@ -58,32 +56,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Reactor engine tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Event-loop threads. Connections are sharded round-robin at
-    /// accept; each loop multiplexes its shard. Clamped to at least 1.
-    pub loop_threads: usize,
-    /// Hard cap on concurrently open connections; the acceptor
-    /// answers the connection past the cap with one `ServerBusy`
-    /// frame and closes it.
-    pub max_connections: usize,
-    /// Close connections with no traffic for this long (`None` =
-    /// never). Connections with a request in flight or a reply still
-    /// flushing are never idle-closed.
-    pub idle_timeout: Option<Duration>,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig {
-            loop_threads: 2,
-            max_connections: 4096,
-            idle_timeout: Some(Duration::from_secs(60)),
-        }
-    }
-}
 
 /// The running reactor: acceptor + loop threads, joined in
 /// [`ReactorHandle::join_acceptor`] / [`ReactorHandle::finish`].
@@ -131,19 +103,17 @@ const TOKEN_WAKE: u64 = 0;
 /// before abandoning the sockets.
 const FINISH_GRACE: Duration = Duration::from_secs(5);
 
-/// Start the reactor: bind is already done (`listener`), spawn the
-/// loop pool and the acceptor.
+/// Start the reactor: bind is already done (`listener`), spawn
+/// `loop_threads` event loops and the acceptor.
 pub(crate) fn start(
     listener: TcpListener,
     shared: Arc<SharedState>,
-    config: ReactorConfig,
+    loop_threads: usize,
+    max_connections: usize,
+    idle_timeout: Option<Duration>,
 ) -> io::Result<ReactorHandle> {
-    let config = ReactorConfig {
-        loop_threads: config.loop_threads.max(1),
-        ..config
-    };
-    let mut loops = Vec::with_capacity(config.loop_threads);
-    for i in 0..config.loop_threads {
+    let mut loops = Vec::with_capacity(loop_threads);
+    for i in 0..loop_threads {
         let ls = Arc::new(LoopShared {
             epoll: Epoll::new()?,
             wake: EventFd::new()?,
@@ -154,10 +124,9 @@ pub(crate) fn start(
         ls.epoll.add(&ls.wake, EPOLLIN, TOKEN_WAKE)?;
         let loop_ls = Arc::clone(&ls);
         let loop_shared = Arc::clone(&shared);
-        let loop_cfg = config.clone();
         let thread = thread::Builder::new()
             .name(format!("spn-loop-{i}"))
-            .spawn(move || run_loop(loop_ls, loop_shared, loop_cfg))
+            .spawn(move || run_loop(loop_ls, loop_shared, idle_timeout))
             .expect("spawn reactor loop thread");
         loops.push(LoopRef {
             shared: ls,
@@ -169,7 +138,7 @@ pub(crate) fn start(
     let accept_shared = Arc::clone(&shared);
     let accept_thread = thread::Builder::new()
         .name("spn-accept".into())
-        .spawn(move || accept_loop(listener, accept_shared, accept_loops, config))
+        .spawn(move || accept_loop(listener, accept_shared, accept_loops, max_connections))
         .expect("spawn reactor accept thread");
 
     Ok(ReactorHandle {
@@ -207,12 +176,9 @@ fn accept_loop(
     listener: TcpListener,
     shared: Arc<SharedState>,
     loops: Vec<Arc<LoopShared>>,
-    config: ReactorConfig,
+    max_connections: usize,
 ) {
-    let metrics = shared
-        .reactor
-        .as_ref()
-        .expect("reactor engine always carries reactor metrics");
+    let metrics = &shared.reactor;
     let mut next = 0usize;
     loop {
         match listener.accept() {
@@ -222,9 +188,9 @@ fn accept_loop(
                     drop(stream);
                     return;
                 }
-                if metrics.open_connections() >= config.max_connections as u64 {
+                if metrics.open_connections() >= max_connections as u64 {
                     metrics.conn_rejected_at_accept();
-                    reject_busy(stream, config.max_connections);
+                    reject_busy(stream, max_connections);
                     continue;
                 }
                 metrics.conn_accepted();
@@ -266,8 +232,7 @@ struct OutBuf {
     buf: Vec<u8>,
     at: usize,
     /// Trace context + write-start instant for the `ReplyWritten`
-    /// span, set for `Infer` replies only (matching the threaded
-    /// engine, which stamps only those).
+    /// span, set for `Infer` replies only.
     span: Option<(SpanCtx, Instant)>,
 }
 
@@ -383,18 +348,13 @@ impl TimerWheel {
     }
 }
 
-fn run_loop(ls: Arc<LoopShared>, shared: Arc<SharedState>, config: ReactorConfig) {
-    let metrics = Arc::clone(
-        shared
-            .reactor
-            .as_ref()
-            .expect("reactor engine always carries reactor metrics"),
-    );
+fn run_loop(ls: Arc<LoopShared>, shared: Arc<SharedState>, idle_timeout: Option<Duration>) {
+    let metrics = Arc::clone(&shared.reactor);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut generation = 0u64;
     let mut events = vec![Event::zeroed(); 256];
-    let mut wheel = config.idle_timeout.map(TimerWheel::new);
+    let mut wheel = idle_timeout.map(TimerWheel::new);
     let mut finish_deadline: Option<Instant> = None;
 
     loop {
@@ -444,9 +404,9 @@ fn run_loop(ls: Arc<LoopShared>, shared: Arc<SharedState>, config: ReactorConfig
         // Deliver batcher replies that arrived since the last turn.
         let completions = std::mem::take(&mut *ls.completions.lock());
         for c in completions {
-            // Accounting runs whether or not the connection survived —
-            // the threaded engine, too, counts a request done even
-            // when the reply write then fails.
+            // Accounting runs whether or not the connection survived:
+            // a request is done once its reply exists, even if the
+            // reply write then fails.
             shared.metrics.request_done(c.samples, c.t0.elapsed());
             let alive = matches!(&conns[c.slot], Some(conn) if conn.generation == c.generation);
             if !alive {
@@ -617,8 +577,7 @@ fn read_ready(
                     Ok(None) => {} // Mid-frame; keep reading.
                     Err(WireError::Malformed(m)) => {
                         // Answer once, then close: the stream is no
-                        // longer frame-aligned. Mirrors the threaded
-                        // engine's malformed-header path.
+                        // longer frame-aligned.
                         shared.metrics.rejected(Status::Malformed);
                         let frame = Frame::error(Opcode::Ping, Status::Malformed, &m);
                         conn.out = Some(OutBuf::new(&frame));

@@ -1,30 +1,16 @@
-//! The TCP server: accept path, serving engines, admission control
-//! and graceful drain.
+//! The TCP server: accept path, admission control and graceful
+//! drain.
 //!
-//! The server has two interchangeable **serving engines** selected by
-//! [`ServerConfig::serving`]; both speak the same wire protocol,
-//! apply the same admission control (`admit_infer`) and feed the
-//! same per-model batchers, so their observable behaviour is
-//! identical:
-//!
-//! * [`ServingMode::Reactor`] (the default) — a nonblocking epoll
-//!   readiness loop: one accept thread hands sockets to a small fixed
-//!   pool of event-loop threads, each multiplexing thousands of
-//!   connections through per-connection state machines (see
-//!   [`crate::reactor`]). Scales to 10k+ concurrent connections.
-//! * [`ServingMode::Threaded`] — the original blocking model: one
-//!   accept thread plus one connection thread per client socket,
-//!   reading frames with a short read-timeout so it can observe the
-//!   shutdown flag. Kept as the semantic oracle the reactor is
-//!   differentially tested against; costs one OS thread per client.
-//!
-//! Either way there is one **batcher worker** per registered model
-//! (see [`crate::batcher`]), and a connection handles one request at
-//! a time: decode → validate → admission control → enqueue with the
-//! model's batcher → await the reply → write the response. Faults are
-//! *contained per connection*: a malformed payload earns an error
-//! frame on that socket only; a torn frame or mid-request disconnect
-//! kills that connection only.
+//! Connections are served by the epoll reactor ([`crate::reactor`]):
+//! one accept thread hands sockets to a small fixed pool of
+//! event-loop threads, each multiplexing thousands of connections
+//! through per-connection state machines. There is one **batcher
+//! worker** per registered model (see [`crate::batcher`]), and a
+//! connection handles one request at a time: decode → validate →
+//! admission control → enqueue with the model's batcher → reply.
+//! Faults are *contained per connection*: a malformed payload earns an
+//! error frame on that socket only; a torn frame or mid-request
+//! disconnect kills that connection only.
 //!
 //! Shutdown ([`SpnServer::shutdown`], the `Shutdown` opcode, or drop)
 //! is a drain, not an abort: the accept loop stops, new `Infer`
@@ -34,41 +20,21 @@
 //! joined.
 
 use crate::batcher::{BatchPolicy, Batcher, Reply};
-use crate::conn::{read_full, ReadOutcome};
 use crate::metrics::{ReactorMetrics, ServerMetrics, ServerMetricsSnapshot};
-use crate::protocol::{
-    parse_header, write_frame, Frame, InferRequest, Opcode, Status, WireError, HEADER_LEN,
-};
-use crate::reactor::{self, ReactorConfig, ReactorHandle};
+use crate::protocol::{Frame, InferRequest, Opcode, Status};
+use crate::reactor::{self, ReactorHandle};
 use parking_lot::{Condvar, Mutex};
 use spn_runtime::{JobOptions, PlanCache, Scheduler};
 use spn_telemetry::{
-    BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, SpanKind,
-    TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION,
+    BatcherTelemetry, ModelTelemetry, PlanTelemetry, ShardTelemetry, SpanCtx, TelemetrySnapshot,
+    TraceCollector, TELEMETRY_SCHEMA_VERSION,
 };
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
-
-/// Which serving engine fronts the batchers.
-#[derive(Debug, Clone)]
-pub enum ServingMode {
-    /// Blocking thread-per-connection serving — the original engine,
-    /// kept as the semantic oracle for the reactor.
-    Threaded,
-    /// Nonblocking epoll reactor serving (the default).
-    Reactor(ReactorConfig),
-}
-
-impl Default for ServingMode {
-    fn default() -> Self {
-        ServingMode::Reactor(ReactorConfig::default())
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -81,18 +47,23 @@ pub struct ServerConfig {
     /// Admission control: refuse `Infer` requests that would push the
     /// number of admitted-but-unanswered samples past this bound.
     pub max_inflight_samples: u64,
-    /// How often blocked reads wake up to check the shutdown flag
-    /// (threaded engine only; the reactor is readiness-driven).
-    pub read_poll: Duration,
     /// Live span collector shared with the models' schedulers
-    /// (`None` = tracing off). When set, connection threads record
+    /// (`None` = tracing off). When set, the event loops record
     /// `ReplyWritten` spans into it; pass the *same* collector to
     /// [`spn_runtime::Scheduler::with_trace`] so server and device
     /// spans land on one correlated timeline.
     pub trace: Option<Arc<TraceCollector>>,
-    /// Serving engine: epoll reactor (default) or thread-per-
-    /// connection oracle.
-    pub serving: ServingMode,
+    /// Event-loop threads. Connections are sharded round-robin at
+    /// accept; each loop multiplexes its shard. Clamped to at least 1.
+    pub loop_threads: usize,
+    /// Hard cap on concurrently open connections; the acceptor
+    /// answers the connection past the cap with one `ServerBusy`
+    /// frame and closes it.
+    pub max_connections: usize,
+    /// Close connections with no traffic for this long (`None` =
+    /// never). Connections with a request in flight or a reply still
+    /// flushing are never idle-closed.
+    pub idle_timeout: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -101,9 +72,10 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             batch: BatchPolicy::default(),
             max_inflight_samples: 1 << 20,
-            read_poll: Duration::from_millis(25),
             trace: None,
-            serving: ServingMode::default(),
+            loop_threads: 2,
+            max_connections: 4096,
+            idle_timeout: Some(Duration::from_secs(60)),
         }
     }
 }
@@ -176,14 +148,11 @@ pub(crate) struct SharedState {
     shutdown_flag: Mutex<bool>,
     shutdown_cv: Condvar,
     max_inflight_samples: u64,
-    read_poll: Duration,
     local_addr: SocketAddr,
     /// See [`ServerConfig::trace`].
     pub(crate) trace: Option<Arc<TraceCollector>>,
-    /// Reactor front-end counters; `Some` only under
-    /// [`ServingMode::Reactor`] (the telemetry section stays `null`
-    /// for the threaded oracle).
-    pub(crate) reactor: Option<Arc<ReactorMetrics>>,
+    /// Reactor front-end counters.
+    pub(crate) reactor: Arc<ReactorMetrics>,
 }
 
 impl SharedState {
@@ -192,7 +161,7 @@ impl SharedState {
     }
 
     /// Flip the flag and wake everyone who waits on it. Safe to call
-    /// from connection threads (it does no joining).
+    /// from the event loops (it does no joining).
     pub(crate) fn request_shutdown(&self) {
         self.shutting_down.store(true, Ordering::Release);
         let mut f = self.shutdown_flag.lock();
@@ -206,16 +175,7 @@ impl SharedState {
 /// A running inference server. Dropping it drains and stops it.
 pub struct SpnServer {
     shared: Arc<SharedState>,
-    engine: Engine,
-}
-
-/// The running serving engine behind an [`SpnServer`].
-enum Engine {
-    Threaded {
-        accept_thread: Option<thread::JoinHandle<()>>,
-        conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    },
-    Reactor(ReactorHandle),
+    reactor: ReactorHandle,
 }
 
 /// Server construction failure.
@@ -249,6 +209,7 @@ impl SpnServer {
             return Err(ServerError::Config("no models registered".into()));
         }
         let listener = TcpListener::bind(&config.addr)?;
+        epoll::deepen_listen_backlog(&listener)?;
         let local_addr = listener.local_addr()?;
         let metrics = Arc::new(ServerMetrics::new());
 
@@ -292,10 +253,7 @@ impl SpnServer {
             }
         }
 
-        let reactor_metrics = match &config.serving {
-            ServingMode::Reactor(rc) => Some(Arc::new(ReactorMetrics::new(rc.loop_threads.max(1)))),
-            ServingMode::Threaded => None,
-        };
+        let loop_threads = config.loop_threads.max(1);
         let shared = Arc::new(SharedState {
             models: registry,
             metrics,
@@ -303,33 +261,18 @@ impl SpnServer {
             shutdown_flag: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             max_inflight_samples: config.max_inflight_samples,
-            read_poll: config.read_poll,
             local_addr,
             trace: config.trace,
-            reactor: reactor_metrics,
+            reactor: Arc::new(ReactorMetrics::new(loop_threads)),
         });
-
-        let engine = match config.serving {
-            ServingMode::Threaded => {
-                let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-                    Arc::new(Mutex::new(Vec::new()));
-                let accept_shared = Arc::clone(&shared);
-                let accept_conns = Arc::clone(&conn_threads);
-                let accept_thread = thread::Builder::new()
-                    .name("spn-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared, accept_conns))
-                    .expect("spawn accept thread");
-                Engine::Threaded {
-                    accept_thread: Some(accept_thread),
-                    conn_threads,
-                }
-            }
-            ServingMode::Reactor(rc) => {
-                Engine::Reactor(reactor::start(listener, Arc::clone(&shared), rc)?)
-            }
-        };
-
-        Ok(SpnServer { shared, engine })
+        let reactor = reactor::start(
+            listener,
+            Arc::clone(&shared),
+            loop_threads,
+            config.max_connections,
+            config.idle_timeout,
+        )?;
+        Ok(SpnServer { shared, reactor })
     }
 
     /// The address the server actually bound (resolves port `0`).
@@ -365,170 +308,23 @@ impl SpnServer {
     /// drop.
     pub fn shutdown(&mut self) {
         self.shared.request_shutdown();
-        match &mut self.engine {
-            Engine::Threaded {
-                accept_thread,
-                conn_threads,
-            } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                // Drain order is load-bearing: connection threads may
-                // be blocked on reply channels, and flushing the batch
-                // queues is what unblocks them — so batchers first,
-                // connections second.
-                for handle in self.shared.models.values() {
-                    handle.batcher.request_drain();
-                }
-                for handle in self.shared.models.values() {
-                    handle.batcher.join_worker();
-                }
-                let mut conns = conn_threads.lock();
-                for t in conns.drain(..) {
-                    let _ = t.join();
-                }
-            }
-            Engine::Reactor(handle) => {
-                handle.join_acceptor();
-                // Same order, reactor-shaped: draining the batchers
-                // pushes every outstanding reply into the loops'
-                // completion queues; only then are the loops told to
-                // flush what remains and exit.
-                for handle in self.shared.models.values() {
-                    handle.batcher.request_drain();
-                }
-                for handle in self.shared.models.values() {
-                    handle.batcher.join_worker();
-                }
-                handle.finish();
-            }
+        self.reactor.join_acceptor();
+        // Drain order is load-bearing: draining the batchers pushes
+        // every outstanding reply into the loops' completion queues;
+        // only then are the loops told to flush what remains and exit.
+        for handle in self.shared.models.values() {
+            handle.batcher.request_drain();
         }
+        for handle in self.shared.models.values() {
+            handle.batcher.join_worker();
+        }
+        self.reactor.finish();
     }
 }
 
 impl Drop for SpnServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<SharedState>,
-    conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if shared.is_shutting_down() {
-                    // The wake-up connection (or a late client); stop.
-                    drop(stream);
-                    return;
-                }
-                let conn_shared = Arc::clone(&shared);
-                let t = thread::Builder::new()
-                    .name(format!("spn-conn-{peer}"))
-                    .spawn(move || {
-                        // Any I/O failure just ends this connection.
-                        let _ = serve_connection(stream, &conn_shared);
-                    })
-                    .expect("spawn connection thread");
-                let mut guard = conns.lock();
-                // Reap threads whose connections already closed so a
-                // long-running server with connection churn does not
-                // accumulate JoinHandles without bound. `is_finished`
-                // handles are join()ed instantly (the thread is done).
-                let mut i = 0;
-                while i < guard.len() {
-                    if guard[i].is_finished() {
-                        let _ = guard.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                guard.push(t);
-            }
-            Err(_) => {
-                if shared.is_shutting_down() {
-                    return;
-                }
-                // Transient accept error; keep serving.
-            }
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, shared: &SharedState) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.read_poll))?;
-    stream.set_nodelay(true)?;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        match read_full(&mut stream, &mut header, || shared.is_shutting_down())? {
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-            ReadOutcome::Full => {}
-        }
-        let (opcode, _status, len) = match parse_header(&header) {
-            Ok(h) => h,
-            Err(WireError::Malformed(m)) => {
-                // The stream can no longer be trusted to be
-                // frame-aligned: answer once, then close — other
-                // connections are unaffected.
-                shared.metrics.rejected(Status::Malformed);
-                let _ = write_frame(
-                    &mut stream,
-                    &Frame::error(Opcode::Ping, Status::Malformed, &m),
-                );
-                return Ok(());
-            }
-            Err(WireError::Io(e)) => return Err(e),
-        };
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut stream, &mut payload, || shared.is_shutting_down())? {
-            ReadOutcome::Full => {}
-            // Mid-frame EOF or shutdown: abandon the connection.
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-        }
-
-        match opcode {
-            Opcode::Ping => {
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Ping, Status::Ok, vec![]),
-                )?;
-            }
-            Opcode::Stats => {
-                let json = telemetry_snapshot(shared).to_json();
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Stats, Status::Ok, json.into_bytes()),
-                )?;
-            }
-            Opcode::Shutdown => {
-                // Acknowledge first, then start the drain: the client
-                // gets its reply even though the server is now
-                // refusing new inference work.
-                write_frame(
-                    &mut stream,
-                    &Frame::response(Opcode::Shutdown, Status::Ok, vec![]),
-                )?;
-                shared.request_shutdown();
-            }
-            Opcode::Infer => {
-                let (frame, ctx) = handle_infer(shared, payload);
-                let t_write = Instant::now();
-                write_frame(&mut stream, &frame)?;
-                if let Some(trace) = &shared.trace {
-                    trace.record(
-                        SpanKind::ReplyWritten,
-                        ctx,
-                        0,
-                        frame.payload.len() as u64,
-                        t_write,
-                        Instant::now(),
-                    );
-                }
-            }
-        }
     }
 }
 
@@ -554,9 +350,9 @@ pub(crate) struct AdmittedInfer<'a> {
     pub(crate) t0: Instant,
 }
 
-/// Decode, validate and admit one `Infer` request — the engine-shared
-/// front half of request handling. Takes the payload by value so the
-/// reactor's zero-copy path ([`InferRequest::decode_owned`]) can hand
+/// Decode, validate and admit one `Infer` request — the front half of
+/// request handling. Takes the payload by value so the reactor's
+/// zero-copy path ([`InferRequest::decode_owned`]) can hand
 /// the socket read buffer straight to the batcher.
 pub(crate) fn admit_infer(shared: &SharedState, payload: Vec<u8>) -> InferAdmission<'_> {
     let t0 = Instant::now();
@@ -633,7 +429,7 @@ pub(crate) fn admit_infer(shared: &SharedState, payload: Vec<u8>) -> InferAdmiss
 }
 
 /// Turn a batcher [`Reply`] into the `Infer` response frame — the
-/// engine-shared back half of request handling.
+/// back half of request handling.
 pub(crate) fn reply_frame(reply: Reply) -> Frame {
     match reply {
         Reply::Ok(lls) => Frame::response(
@@ -643,27 +439,6 @@ pub(crate) fn reply_frame(reply: Reply) -> Frame {
         ),
         Reply::Err(status, msg) => Frame::error(Opcode::Infer, status, &msg),
     }
-}
-
-/// Decode, validate, admit, batch and *block on* one `Infer` request —
-/// the threaded engine's request path. Returns the response frame plus
-/// the request's trace context so the caller can stamp the reply-write
-/// span.
-fn handle_infer(shared: &SharedState, payload: Vec<u8>) -> (Frame, SpanCtx) {
-    let adm = match admit_infer(shared, payload) {
-        InferAdmission::Reject(frame, ctx) => return (frame, ctx),
-        InferAdmission::Admit(adm) => adm,
-    };
-    let ctx = adm.req.ctx;
-    let rx = adm
-        .model
-        .batcher
-        .enqueue(ctx, adm.req.data, adm.req.num_samples, adm.deadline);
-    let reply = rx
-        .recv()
-        .unwrap_or_else(|_| Reply::Err(Status::Internal, "batcher dropped the request".into()));
-    shared.metrics.request_done(adm.samples, adm.t0.elapsed());
-    (reply_frame(reply), ctx)
 }
 
 /// Build the unified telemetry document the `Stats` opcode serves:
@@ -732,6 +507,6 @@ pub(crate) fn telemetry_snapshot(shared: &SharedState) -> TelemetrySnapshot {
         plan: Some(plan),
         router: None,
         shard,
-        reactor: shared.reactor.as_ref().map(|m| m.snapshot()),
+        reactor: Some(shared.reactor.snapshot()),
     }
 }

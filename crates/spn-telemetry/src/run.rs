@@ -35,7 +35,7 @@ pub enum RunKind {
     Bench,
     /// A recorded closed-loop load-generation run.
     Load,
-    /// An open-loop trace replay.
+    /// A trace replay.
     Replay,
 }
 

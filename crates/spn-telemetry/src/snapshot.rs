@@ -222,9 +222,8 @@ pub struct TelemetrySnapshot {
     /// Sharded-execution counters; `null` when no sharded job has
     /// run. Absent in pre-v4 documents (tolerated as `None` on parse).
     pub shard: Option<ShardTelemetry>,
-    /// Reactor front-end counters; `null` when the server runs the
-    /// threaded oracle (or outside a server context). Absent in
-    /// pre-v5 documents (tolerated as `None` on parse).
+    /// Reactor front-end counters; `null` outside a server context.
+    /// Absent in pre-v5 documents (tolerated as `None` on parse).
     pub reactor: Option<ReactorTelemetry>,
 }
 

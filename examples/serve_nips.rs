@@ -16,7 +16,7 @@ use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
-use spn_server::{run_load, BatchPolicy, Client, LoadConfig, ModelSpec, ServerConfig, SpnServer};
+use spn_server::{BatchPolicy, Client, LoadConfig, ModelSpec, ServerConfig, SpnServer};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,7 +103,7 @@ fn main() {
 
     // 3. Concurrent load against the big model: the micro-batcher
     //    coalesces the small requests into shared scheduler jobs.
-    let report = run_load(&LoadConfig {
+    let report = LoadConfig {
         addr,
         model: NipsBenchmark::Nips80.name().to_string(),
         num_features: NipsBenchmark::Nips80.num_vars() as u32,
@@ -113,7 +113,8 @@ fn main() {
         samples_per_request: 4,
         deadline_ms: 0,
         seed: 7,
-    })
+    }
+    .run()
     .expect("load run succeeds");
     println!("load: {}", report.summary());
 

@@ -1,7 +1,7 @@
 //! Property-based equivalence between the two SPN1 frame decoders.
 //!
 //! The reactor decodes incrementally ([`FrameDecoder`]) from whatever
-//! byte runs the kernel hands it; the threaded engine and the clients
+//! byte runs the kernel hands it; the router and the clients
 //! decode whole frames from a blocking stream ([`read_frame`]). The
 //! protocol is only sound if the two agree on *every* byte stream —
 //! including streams split at arbitrary points (TCP makes no framing

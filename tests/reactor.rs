@@ -1,18 +1,15 @@
 //! Integration tests for the epoll reactor serving engine: the
 //! many-connection smoke (1k connections by default, the full 10k
-//! under `SPN_FULL_SWEEP=1`), the connection-limit and idle-timeout
-//! behaviours only the reactor has, and the cross-engine replay proof
-//! that a trace recorded through the reactor replays bit-for-bit
-//! through the threaded oracle.
+//! under `SPN_FULL_SWEEP=1`), connection-limit rejection at accept
+//! and idle-timeout reaping. That the reactor answers bit for bit
+//! what the committed traces recorded is proved in `replay.rs`.
 
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_replay::{record_load, replay, ReplayConfig, Trace};
 use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
-    run_open_loop, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, OpenLoopConfig,
-    ReactorConfig, ServerConfig, ServingMode, SpnServer, Status,
+    BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, SpnServer, Status,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,25 +31,23 @@ fn make_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
     Arc::new(Scheduler::new(device, config).unwrap())
 }
 
-fn start_server(bench: NipsBenchmark, serving: ServingMode) -> SpnServer {
+/// A one-model server; `tune` adjusts the reactor settings.
+fn start_server(bench: NipsBenchmark, tune: impl FnOnce(&mut ServerConfig)) -> SpnServer {
     let spec = ModelSpec::new(
         bench.name(),
         make_scheduler(bench),
         bench.num_vars() as u32,
         256,
     );
-    SpnServer::serve(
-        ServerConfig {
-            batch: BatchPolicy {
-                max_batch_samples: 4096,
-                max_batch_delay: Duration::from_millis(2),
-            },
-            serving,
-            ..ServerConfig::default()
+    let mut config = ServerConfig {
+        batch: BatchPolicy {
+            max_batch_samples: 4096,
+            max_batch_delay: Duration::from_millis(2),
         },
-        vec![spec],
-    )
-    .unwrap()
+        ..ServerConfig::default()
+    };
+    tune(&mut config);
+    SpnServer::serve(config, vec![spec]).unwrap()
 }
 
 /// Connection count for the smoke: `SPN_REACTOR_CONNS` wins, else 10k
@@ -83,35 +78,26 @@ fn smoke_connections() -> usize {
 fn reactor_serves_a_thousand_connections() {
     let conns = smoke_connections();
     let bench = NipsBenchmark::Nips10;
-    let mut server = start_server(
-        bench,
-        ServingMode::Reactor(ReactorConfig {
-            loop_threads: 2,
-            max_connections: conns + 64,
-            idle_timeout: Some(Duration::from_secs(60)),
-        }),
-    );
-    let cfg = OpenLoopConfig {
-        load: LoadConfig {
-            addr: server.local_addr(),
-            model: bench.name().to_string(),
-            num_features: bench.num_vars() as u32,
-            domain: 255,
-            connections: conns,
-            requests_per_connection: 2,
-            samples_per_request: 1,
-            deadline_ms: 0,
-            seed: 7,
-        },
-        workers: 2,
-        run_timeout: Some(Duration::from_secs(300)),
+    let mut server = start_server(bench, |c| {
+        c.loop_threads = 2;
+        c.max_connections = conns + 64;
+    });
+    let cfg = LoadConfig {
+        addr: server.local_addr(),
+        model: bench.name().to_string(),
+        num_features: bench.num_vars() as u32,
+        domain: 255,
+        connections: conns,
+        requests_per_connection: 2,
+        samples_per_request: 1,
+        deadline_ms: 0,
+        seed: 7,
     };
-    let report = run_open_loop(&cfg).expect("open-loop run");
-    assert_eq!(report.connections, conns, "fd budget clamped the smoke");
-    assert_eq!(report.dropped_connections, 0, "{}", report.summary());
-    assert_eq!(report.rejected_at_accept, 0, "{}", report.summary());
-    assert_eq!(report.load.ok_requests, 2 * conns as u64);
-    assert_eq!(report.load.rejected_requests, 0);
+    let report = cfg.run().expect("load run");
+    assert_eq!(report.connections, conns);
+    assert_eq!(report.transport_errors, 0, "{}", report.summary());
+    assert_eq!(report.rejected_requests, 0, "{}", report.summary());
+    assert_eq!(report.ok_requests, 2 * conns as u64);
 
     let telemetry = server.telemetry_snapshot();
     let reactor = telemetry.reactor.expect("reactor section present");
@@ -128,14 +114,11 @@ fn reactor_serves_a_thousand_connections() {
 #[test]
 fn connection_limit_rejects_at_accept() {
     let bench = NipsBenchmark::Nips10;
-    let mut server = start_server(
-        bench,
-        ServingMode::Reactor(ReactorConfig {
-            loop_threads: 1,
-            max_connections: 2,
-            idle_timeout: None,
-        }),
-    );
+    let mut server = start_server(bench, |c| {
+        c.loop_threads = 1;
+        c.max_connections = 2;
+        c.idle_timeout = None;
+    });
     let addr = server.local_addr();
     let mut a = Client::connect(addr).unwrap();
     let mut b = Client::connect(addr).unwrap();
@@ -176,14 +159,11 @@ fn connection_limit_rejects_at_accept() {
 #[test]
 fn idle_timeout_reaps_quiet_connections() {
     let bench = NipsBenchmark::Nips10;
-    let mut server = start_server(
-        bench,
-        ServingMode::Reactor(ReactorConfig {
-            loop_threads: 1,
-            max_connections: 64,
-            idle_timeout: Some(Duration::from_millis(100)),
-        }),
-    );
+    let mut server = start_server(bench, |c| {
+        c.loop_threads = 1;
+        c.max_connections = 64;
+        c.idle_timeout = Some(Duration::from_millis(100));
+    });
     let addr = server.local_addr();
     let mut idle = Client::connect(addr).unwrap();
     idle.ping().unwrap();
@@ -211,85 +191,4 @@ fn idle_timeout_reaps_quiet_connections() {
         "idle close not counted: {reactor:?}"
     );
     server.shutdown();
-}
-
-const THREADED_64CONN_TRACE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/traces/threaded_64conn.spntrace"
-);
-
-/// Record the committed high-connection oracle trace through the
-/// *threaded* engine: NIPS10, 64 connections × 4 requests of 4
-/// samples, every reply digested. Ignored in normal runs — the
-/// committed artifact is the contract that later engines must
-/// reproduce bit for bit.
-#[test]
-#[ignore]
-fn regenerate_threaded_64conn_trace() {
-    let bench = NipsBenchmark::Nips10;
-    let mut server = start_server(bench, ServingMode::Threaded);
-    let cfg = LoadConfig {
-        addr: server.local_addr(),
-        model: bench.name().to_string(),
-        num_features: bench.num_vars() as u32,
-        domain: 255,
-        connections: 64,
-        requests_per_connection: 4,
-        samples_per_request: 4,
-        deadline_ms: 0,
-        seed: 64,
-    };
-    let (report, trace) = record_load(&cfg).expect("record through threaded engine");
-    assert_eq!(report.ok_requests, 256);
-    assert_eq!(trace.records.len(), 256);
-    assert!(trace.records.iter().all(|r| r.reply_digest.is_some()));
-    server.shutdown();
-    trace.write_file(THREADED_64CONN_TRACE).unwrap();
-    assert_eq!(Trace::read_file(THREADED_64CONN_TRACE).unwrap(), trace);
-}
-
-/// Cross-engine bit-exactness (the reactor's correctness oracle): a
-/// trace recorded *through the reactor* replays bit-for-bit through
-/// the *threaded* engine — same reply digests for every request, so
-/// the two engines are observably the same server.
-#[test]
-fn reactor_trace_replays_bit_identically_through_threaded_engine() {
-    let bench = NipsBenchmark::Nips10;
-    let mut reactor_server = start_server(bench, ServingMode::default());
-    let cfg = LoadConfig {
-        addr: reactor_server.local_addr(),
-        model: bench.name().to_string(),
-        num_features: bench.num_vars() as u32,
-        domain: 255,
-        connections: 8,
-        requests_per_connection: 6,
-        samples_per_request: 4,
-        deadline_ms: 0,
-        seed: 42,
-    };
-    let (report, trace) = record_load(&cfg).expect("record through reactor");
-    assert_eq!(report.ok_requests, 48);
-    assert_eq!(trace.records.len(), 48);
-    reactor_server.shutdown();
-
-    // Round-trip the trace through its file format, as the CLI would.
-    let dir = std::env::temp_dir().join(format!("spn-reactor-replay-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("reactor.spntrace");
-    trace.write_file(&path).unwrap();
-    let trace = Trace::read_file(&path).unwrap();
-
-    let mut threaded_server = start_server(bench, ServingMode::Threaded);
-    let mut rcfg = ReplayConfig::new(threaded_server.local_addr());
-    rcfg.speed = 4.0;
-    let rep = replay(&trace, &rcfg).expect("replay through threaded engine");
-    assert!(rep.is_faithful(), "not faithful: {}", rep.summary());
-    assert_eq!(rep.ok_requests, 48);
-    assert_eq!(rep.digest_mismatches, 0);
-    assert_eq!(rep.payload_mismatches, 0);
-    for (rec, got) in trace.records.iter().zip(&rep.reply_digests) {
-        assert_eq!(rec.reply_digest, *got, "digest diverged across engines");
-    }
-    threaded_server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,13 +1,13 @@
-//! Integration tests for the record/replay harness: a seeded loadgen
+//! Integration tests for the record/replay harness: a seeded load
 //! run against a real in-process server becomes a `.spntrace`, the
-//! open-loop replayer re-issues it, and the replies are bit-identical
+//! replayer re-issues it, and the replies are bit-identical
 //! to the recording — including through a router failover with one
 //! replica killed mid-replay.
 
 use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
 use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_replay::{record_load, replay, Burst, ReplayConfig, RunStore, Trace};
+use spn_replay::{record_load, replay, Burst, ReplayConfig, ReplayReport, RunStore, Trace};
 use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
 use spn_runtime::{ExecBackend, JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
@@ -98,17 +98,20 @@ fn recorded_trace_replays_bit_identically_twice() {
 
     for rep in [&first, &second] {
         assert!(rep.is_faithful(), "not faithful: {}", rep.summary());
-        assert_eq!(rep.total_requests, 24);
-        assert_eq!(rep.ok_requests, 24, "{}", rep.summary());
+        assert_eq!(rep.total_requests(), 24);
+        assert_eq!(rep.load.ok_requests, 24, "{}", rep.summary());
         assert_eq!(rep.digests_checked, 24);
         assert_eq!(rep.digest_mismatches, 0);
         assert_eq!(rep.payload_mismatches, 0);
     }
     // Byte-identical replies across replays, request by request.
-    assert_eq!(first.reply_digests, second.reply_digests);
+    let digests = |r: &ReplayReport| -> Vec<Option<u64>> {
+        r.load.requests.iter().map(|q| q.reply_digest).collect()
+    };
+    assert_eq!(digests(&first), digests(&second));
     // ...and identical to the recording itself.
-    for (rec, got) in trace.records.iter().zip(&first.reply_digests) {
-        assert_eq!(rec.reply_digest, *got);
+    for (rec, got) in trace.records.iter().zip(digests(&first)) {
+        assert_eq!(rec.reply_digest, got);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -131,7 +134,12 @@ fn burst_replay_is_still_bit_identical() {
     });
     let rep = replay(&trace, &cfg).expect("burst replay");
     assert!(rep.is_faithful(), "{}", rep.summary());
-    assert_eq!(rep.ok_requests, rep.total_requests, "{}", rep.summary());
+    assert_eq!(
+        rep.load.ok_requests,
+        rep.total_requests(),
+        "{}",
+        rep.summary()
+    );
     assert_eq!(rep.digest_mismatches, 0);
 }
 
@@ -180,11 +188,11 @@ fn replay_through_router_failover_conserves_requests() {
     // Conservation: every recorded request is accounted for, none
     // vanished — and with a live failover replica, none were lost.
     assert_eq!(
-        rep.ok_requests + rep.rejected_requests + rep.transport_errors,
-        rep.total_requests
+        rep.load.ok_requests + rep.load.rejected_requests + rep.load.transport_errors,
+        rep.total_requests()
     );
-    assert_eq!(rep.total_requests, 120);
-    assert_eq!(rep.ok_requests, 120, "{}", rep.summary());
+    assert_eq!(rep.total_requests(), 120);
+    assert_eq!(rep.load.ok_requests, 120, "{}", rep.summary());
     // Bit-identical even across the failover: both replicas compute
     // the same deterministic model.
     assert_eq!(rep.digest_mismatches, 0, "{}", rep.summary());
@@ -306,6 +314,29 @@ fn regenerate_committed_bursty_trace() {
     assert_eq!(Trace::read_file(COMMITTED_TRACE).unwrap(), trace);
 }
 
+const THREADED_64CONN_TRACE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/traces/threaded_64conn.spntrace"
+);
+
+/// Replay a committed trace through `server` (at 4x its recorded pace)
+/// and require every reply to match its recorded digest.
+fn replay_bit_identically(path: &str, server: &SpnServer, records: u64) {
+    let trace = Trace::read_file(path).expect("committed trace decodes");
+    assert_eq!(trace.records.len() as u64, records);
+    assert!(
+        trace.records.iter().all(|r| r.reply_digest.is_some()),
+        "every record carries a reply digest to verify against"
+    );
+    let mut cfg = ReplayConfig::new(server.local_addr());
+    cfg.speed = 4.0;
+    let rep = replay(&trace, &cfg).expect("replay");
+    assert_eq!(rep.load.ok_requests, records, "{}", rep.summary());
+    assert_eq!(rep.digests_checked, records);
+    assert_eq!(rep.digest_mismatches, 0, "{}", rep.summary());
+    assert_eq!(rep.payload_mismatches, 0, "{}", rep.summary());
+}
+
 /// Sharded-runtime replay regression: the committed bursty
 /// multi-model trace replays through a freshly built sharded server
 /// with every reply verified bit-for-bit against the recorded
@@ -315,17 +346,12 @@ fn regenerate_committed_bursty_trace() {
 #[test]
 fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
     let trace = Trace::read_file(COMMITTED_TRACE).expect("committed trace decodes");
-    assert_eq!(trace.records.len(), 36);
     let models: std::collections::BTreeSet<&str> =
         trace.records.iter().map(|r| r.model.as_str()).collect();
     assert_eq!(
         models.into_iter().collect::<Vec<_>>(),
         vec!["NIPS10", "NIPS20"],
         "trace spans two models"
-    );
-    assert!(
-        trace.records.iter().all(|r| r.reply_digest.is_some()),
-        "every record carries a reply digest to verify against"
     );
     // Bursty by construction: the largest arrival gap dwarfs the
     // in-burst spacing.
@@ -338,18 +364,7 @@ fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
     );
 
     let (server, schedulers) = start_sharded_multimodel_server();
-    let mut cfg = ReplayConfig::new(server.local_addr());
-    cfg.speed = 4.0; // compress the 100 ms timeline; bursts stay bursts
-    let rep = replay(&trace, &cfg).expect("sharded replay");
-
-    assert!(rep.is_faithful(), "not faithful: {}", rep.summary());
-    assert_eq!(rep.ok_requests, rep.total_requests, "{}", rep.summary());
-    assert_eq!(rep.digests_checked, 36);
-    assert_eq!(
-        rep.digest_mismatches, 0,
-        "sharded replies diverged from the recording"
-    );
-    assert_eq!(rep.payload_mismatches, 0);
+    replay_bit_identically(COMMITTED_TRACE, &server, 36);
 
     // The replies really came off the sharded path: both schedulers
     // built their cut and pushed blocks through it.
@@ -359,6 +374,24 @@ fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
         assert_eq!(t.shards, shards);
         assert!(t.sharded_blocks > 0);
     }
+}
+
+/// The serving engine's correctness oracle. Both committed traces
+/// were recorded through the blocking thread-per-connection engine
+/// that the epoll reactor replaced, and both replay through the
+/// reactor with every reply digest bit-identical:
+/// `threaded_64conn.spntrace` (NIPS10, 64 connections × 4 requests,
+/// paper-format device) was recorded by the threaded engine as it
+/// stood at commit 2ff057a6dd3aee658aa2ae7dcb1bab9efb04e816, just
+/// before that engine was deleted; `bursty_multimodel.spntrace` (two
+/// sharded models, three bursts) by the same engine when the sharded
+/// backend landed.
+#[test]
+fn committed_traces_replay_bit_identically_through_reactor() {
+    let server = start_backend(NipsBenchmark::Nips10);
+    replay_bit_identically(THREADED_64CONN_TRACE, &server, 256);
+    let (server, _) = start_sharded_multimodel_server();
+    replay_bit_identically(COMMITTED_TRACE, &server, 36);
 }
 
 /// The run store round-trips replay runs like any other kind, so
@@ -387,11 +420,11 @@ fn replay_run_record_lands_in_the_store() {
         Value::Object(vec![
             (
                 "total_requests".to_string(),
-                Value::Number(serde_json::Number::U64(rep.total_requests)),
+                Value::Number(serde_json::Number::U64(rep.total_requests())),
             ),
             (
                 "samples_per_sec".to_string(),
-                Value::Number(serde_json::Number::F64(rep.samples_per_sec)),
+                Value::Number(serde_json::Number::F64(rep.load.samples_per_sec)),
             ),
         ]),
     );

@@ -180,7 +180,7 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
 fn batching_beats_per_request_throughput() {
     let bench = NipsBenchmark::Nips80;
     let load = |server: &SpnServer| {
-        spn_server::run_load(&LoadConfig {
+        LoadConfig {
             addr: server.local_addr(),
             model: bench.name().to_string(),
             num_features: bench.num_vars() as u32,
@@ -190,7 +190,8 @@ fn batching_beats_per_request_throughput() {
             samples_per_request: 1,
             deadline_ms: 0,
             seed: 3,
-        })
+        }
+        .run()
         .unwrap()
     };
 
@@ -513,7 +514,7 @@ fn stats_opcode_returns_parsable_json() {
     let json = client.stats().unwrap();
     let v: serde_json::Value = serde_json::from_str(&json).expect("stats JSON parses");
     assert_eq!(v["schema"], 5u64);
-    // The default engine is the reactor, so the reactor section is
+    // The server always runs the reactor, so the reactor section is
     // populated (one open connection: this client).
     assert_eq!(v["reactor"]["open_connections"], 1u64);
     assert!(v["reactor"]["accepted_total"].as_u64().unwrap() >= 1);
