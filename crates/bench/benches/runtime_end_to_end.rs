@@ -3,24 +3,17 @@
 //! end-to-end simulation that regenerates Figs. 4/6.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use spn_arith::{AnyFormat, CfpFormat};
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
 use std::sync::Arc;
 
 fn make_device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
     let bench = NipsBenchmark::Nips10;
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let device = Arc::new(VirtualDevice::new(
-        prog,
-        AnyFormat::Cfp(CfpFormat::paper_default()),
-        AcceleratorConfig::paper_default(),
-        pes,
-        16 << 20,
-    ));
-    (device, bench)
+    (
+        Arc::new(VirtualDevice::paper(&bench.build_spn(), pes)),
+        bench,
+    )
 }
 
 fn benches(c: &mut Criterion) {

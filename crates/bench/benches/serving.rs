@@ -14,9 +14,7 @@
 //!   verification sampling.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
 use spn_server::{
     synthetic_samples, BatchPolicy, Batcher, LoadConfig, ModelSpec, Reply, ServerConfig,
@@ -46,14 +44,7 @@ fn micro_batch_policy() -> BatchPolicy {
 }
 
 fn make_scheduler() -> Arc<Scheduler> {
-    let prog = DatapathProgram::compile(&BENCH.build_spn());
-    let device = Arc::new(VirtualDevice::new(
-        prog,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        2,
-        16 << 20,
-    ));
+    let device = Arc::new(VirtualDevice::paper(&BENCH.build_spn(), 2));
     let config = RuntimeConfig::builder()
         .block_samples(4)
         .threads_per_pe(2)

@@ -12,24 +12,23 @@
 //! the serving engine's own overhead. The load driver dials every
 //! connection before the clock starts (the dial time is reported
 //! separately, under an ungated `dial_ms_observed` key) and then keeps
-//! one request in flight per connection. Each point runs three times
-//! and records the median of each metric.
+//! one request in flight per connection. Each point runs five times
+//! and records the median of each metric. A run panics if the
+//! kernel's `ListenOverflows` counter rose while it ran.
 //!
 //! Points are labelled `R{C}` and carry gateable keys
 //! (`samples_per_sec` higher-better, `p50_ms`/`p99_ms` lower-better)
 //! for `spn bench diff`. The quick sweep is a labelled subset so CI
 //! diffs it against the committed baseline.
 
-use bench::{jobj, write_study_record, StudyArgs, Table};
+use bench::{
+    jobj, no_listen_overflows, paced_scheduler, paced_server, write_study_record, StudyArgs, Table,
+};
 use serde::Serialize;
 use serde_json::Value;
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{clamp_connections, BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
+use spn_server::{clamp_connections, LoadConfig, ServerConfig, SpnServer};
 use spn_telemetry::{RunKind, RunRecord};
-use std::sync::Arc;
 use std::time::Duration;
 
 const PACING_US: u64 = 50;
@@ -41,38 +40,18 @@ const RUNS: usize = 5;
 const REQUESTS_PER_CONNECTION: usize = 16;
 
 fn start_server(connections: usize) -> SpnServer {
-    let prog = DatapathProgram::compile(&MODEL.build_spn());
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            PES,
-            64 << 20,
-        )
-        .with_pacing(Duration::from_micros(PACING_US)),
-    );
-    let config = RuntimeConfig::builder()
-        .block_samples(256)
-        .threads_per_pe(1)
-        .verify_fraction(0.0)
-        .build()
-        .unwrap();
-    let scheduler = Arc::new(Scheduler::new(device, config).unwrap());
-    let spec = ModelSpec::new(MODEL.name(), scheduler, MODEL.num_vars() as u32, 256);
-    SpnServer::serve(
+    let scheduler = paced_scheduler(MODEL, PES, Duration::from_micros(PACING_US), 256);
+    paced_server(
+        &scheduler,
+        MODEL,
+        &[MODEL.name().to_string()],
+        256,
         ServerConfig {
-            batch: BatchPolicy {
-                max_batch_samples: 256,
-                max_batch_delay: Duration::from_micros(200),
-            },
             loop_threads: 2,
             max_connections: connections + 64,
             ..ServerConfig::default()
         },
-        vec![spec],
     )
-    .unwrap()
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -81,12 +60,13 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Serve `connections` × `requests` [`RUNS`] times, each on a fresh
-/// server, and record the per-metric medians.
+/// server, and record the per-metric medians. Panics if the kernel
+/// dropped a handshake during any run.
 fn run_point(connections: usize, requests: usize) -> Value {
     let reports: Vec<_> = (0..RUNS)
         .map(|_| {
             let mut server = start_server(connections);
-            let report = LoadConfig {
+            let load = LoadConfig {
                 addr: server.local_addr(),
                 model: MODEL.name().to_string(),
                 num_features: MODEL.num_vars() as u32,
@@ -96,9 +76,9 @@ fn run_point(connections: usize, requests: usize) -> Value {
                 samples_per_request: SAMPLES_PER_REQUEST,
                 deadline_ms: 0,
                 seed: SEED,
-            }
-            .run()
-            .expect("load run");
+            };
+            let report =
+                no_listen_overflows(&format!("R{connections}"), || load.run().expect("load run"));
             server.shutdown();
             report
         })

@@ -11,26 +11,25 @@
 //! capacity a known constant (1/pacing samples/s) that is independent
 //! of host CPU contention, so the sweep measures what the router
 //! actually adds: placement and fan-out across independent devices.
-//! The offered load is a fixed-duration, closed-loop stream over M
-//! model shards (all the same underlying SPN), every feature block a
-//! pure function of the run seed via `request_seed` — each point in
-//! the sweep replays the identical request stream.
+//! The offered load is a closed-loop schedule through the one load
+//! driver (`spn_server::drive`): one lane per model shard (all the
+//! same underlying SPN), each lane's feature blocks a pure function of
+//! the run seed via `request_seed`, so every point replays the
+//! identical request stream. Each lane's request count is sized so a
+//! point lasts about `load_secs` at the paced capacity of its N
+//! backends. A point panics if the kernel's `ListenOverflows` counter
+//! rose while it ran.
 
-use bench::{jobj, write_study_record, StudyArgs, Table};
+use bench::{
+    jobj, no_listen_overflows, paced_scheduler, paced_server, write_study_record, StudyArgs, Table,
+};
 use serde::Serialize;
 use serde_json::Value;
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
-use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{
-    request_seed, synthetic_samples, BatchPolicy, Client, ModelSpec, ServerConfig, SpnServer,
-};
+use spn_server::{drive, request_seed, ScheduledRequest, ServerConfig, SpnServer};
 use spn_telemetry::{RunKind, RunRecord};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Modelled device time per sample. 100 µs ⇒ each backend caps out at
 /// 10 000 samples/s, far below what the host could push through one
@@ -40,7 +39,7 @@ const PACING_US: u64 = 100;
 const SHARDS: usize = 16;
 /// Samples per request.
 const SAMPLES_PER_REQUEST: u32 = 16;
-/// Load window per sweep point.
+/// Load window per sweep point, at the paced capacity.
 const LOAD_SECS: f64 = 2.5;
 /// Replicas per shard (capped at the backend count).
 const REPLICATION: usize = 2;
@@ -64,93 +63,36 @@ fn shard_names() -> Vec<String> {
 /// One backend: a 1-PE paced device, one scheduler, every shard name
 /// registered onto it.
 fn start_backend(bench: NipsBenchmark) -> SpnServer {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            1,
-            64 << 20,
-        )
-        .with_pacing(Duration::from_micros(PACING_US)),
-    );
-    let config = RuntimeConfig::builder()
-        .block_samples(512)
-        .threads_per_pe(1)
-        .verify_fraction(0.0)
-        .build()
-        .unwrap();
-    let scheduler = Arc::new(Scheduler::new(device, config).unwrap());
-    let nf = bench.num_vars() as u32;
-    let specs = shard_names()
-        .into_iter()
-        .map(|name| ModelSpec::new(&name, Arc::clone(&scheduler), nf, 256))
-        .collect();
-    SpnServer::serve(
-        ServerConfig {
-            batch: BatchPolicy {
-                max_batch_samples: 4096,
-                max_batch_delay: Duration::from_micros(200),
-            },
-            ..ServerConfig::default()
-        },
-        specs,
+    let scheduler = paced_scheduler(bench, 1, Duration::from_micros(PACING_US), 512);
+    paced_server(
+        &scheduler,
+        bench,
+        &shard_names(),
+        4096,
+        ServerConfig::default(),
     )
-    .unwrap()
 }
 
-/// Fixed-duration closed-loop load: one client thread per shard, each
-/// replaying its seeded request stream against `addr` until the
-/// window closes. Returns (ok, rejected, samples, elapsed).
-fn timed_load(addr: std::net::SocketAddr, nf: u32, secs: f64) -> (u64, u64, u64, f64) {
-    let ok = Arc::new(AtomicU64::new(0));
-    let rejected = Arc::new(AtomicU64::new(0));
-    let samples = Arc::new(AtomicU64::new(0));
-    let mut threads = Vec::new();
-    let t0 = Instant::now();
-    let deadline = t0 + Duration::from_secs_f64(secs);
-    for (conn, model) in shard_names().into_iter().enumerate() {
-        let ok = Arc::clone(&ok);
-        let rejected = Arc::clone(&rejected);
-        let samples = Arc::clone(&samples);
-        threads.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("connect to router");
-            let mut req = 0u64;
-            while Instant::now() < deadline {
-                let block = synthetic_samples(
-                    SAMPLES_PER_REQUEST,
-                    nf,
-                    255,
-                    request_seed(SEED, conn as u64, req),
-                );
-                match client
-                    .request(&model)
-                    .samples(&block, SAMPLES_PER_REQUEST, nf)
-                    .send()
-                {
-                    Ok(lls) => {
-                        ok.fetch_add(1, Ordering::Relaxed);
-                        samples.fetch_add(lls.len() as u64, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                req += 1;
-            }
-        }));
-    }
-    for t in threads {
-        t.join().expect("load worker");
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    (
-        ok.load(Ordering::Relaxed),
-        rejected.load(Ordering::Relaxed),
-        samples.load(Ordering::Relaxed),
-        elapsed,
-    )
+/// The closed-loop schedule: one lane per shard, each sending
+/// `requests` seeded requests back to back.
+fn schedule(bench: NipsBenchmark, requests: usize) -> Vec<ScheduledRequest> {
+    let nf = bench.num_vars() as u32;
+    shard_names()
+        .into_iter()
+        .enumerate()
+        .flat_map(|(lane, model)| {
+            (0..requests).map(move |req| ScheduledRequest {
+                lane: lane as u32,
+                due_ns: 0,
+                model: model.clone(),
+                num_samples: SAMPLES_PER_REQUEST,
+                num_features: nf,
+                domain: 255,
+                seed: request_seed(SEED, lane as u64, req as u64),
+                deadline_ms: 0,
+            })
+        })
+        .collect()
 }
 
 fn sweep_point(bench: NipsBenchmark, n: usize, load_secs: f64) -> Point {
@@ -163,19 +105,25 @@ fn sweep_point(bench: NipsBenchmark, n: usize, load_secs: f64) -> Point {
     })
     .unwrap();
 
-    let (ok, rej, samples, elapsed) =
-        timed_load(router.local_addr(), bench.num_vars() as u32, load_secs);
+    // Enough requests per lane to keep N paced backends busy for
+    // about `load_secs`.
+    let capacity = n as f64 * 1e6 / PACING_US as f64;
+    let requests =
+        (load_secs * capacity / (SHARDS as f64 * SAMPLES_PER_REQUEST as f64)).ceil() as usize;
+    let report = no_listen_overflows(&format!("N={n}"), || {
+        drive(router.local_addr(), &schedule(bench, requests)).expect("load run")
+    });
     drop(router);
     for mut s in servers {
         s.shutdown();
     }
     Point {
         backends: n,
-        ok_requests: ok,
-        rejected_requests: rej,
-        samples,
-        elapsed_s: elapsed,
-        samples_per_sec: samples as f64 / elapsed,
+        ok_requests: report.ok_requests,
+        rejected_requests: report.rejected_requests + report.transport_errors,
+        samples: report.ok_samples,
+        elapsed_s: report.elapsed.as_secs_f64(),
+        samples_per_sec: report.samples_per_sec,
         speedup_vs_1: 0.0, // filled by the caller
     }
 }
@@ -234,7 +182,8 @@ fn main() {
         (
             "methodology",
             Value::String(
-                "fixed-duration closed-loop load (1 client per shard) through \
+                "closed-loop load (one epoll load driver, 1 lane per shard, \
+                 requests sized to load_secs at paced capacity) through \
                  spn-router over N in-process spn-server backends, each a 1-PE \
                  virtual device paced at a fixed per-sample budget so backend \
                  capacity is a known constant; identical seeded request stream \

@@ -20,13 +20,11 @@
 //! (`P1`..`P4`), so the quick sweep diffs cleanly against the full
 //! committed baseline.
 
-use bench::{jobj, write_study_record, StudyArgs, Table};
+use bench::{jobj, paced_scheduler, write_study_record, StudyArgs, Table};
 use serde::Serialize;
 use serde_json::Value;
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
+use spn_runtime::JobOptions;
 use spn_telemetry::{RunKind, RunRecord};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,24 +51,7 @@ struct Point {
 }
 
 fn sweep_point(pes: u32, samples_per_job: usize) -> (u64, f64) {
-    let prog = DatapathProgram::compile(&MODEL.build_spn());
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            pes,
-            64 << 20,
-        )
-        .with_pacing(Duration::from_micros(PACING_US)),
-    );
-    let config = RuntimeConfig::builder()
-        .block_samples(BLOCK_SAMPLES)
-        .threads_per_pe(1)
-        .verify_fraction(0.0)
-        .build()
-        .unwrap();
-    let scheduler = Scheduler::new(device, config).unwrap();
+    let scheduler = paced_scheduler(MODEL, pes, Duration::from_micros(PACING_US), BLOCK_SAMPLES);
     let opts = JobOptions::default();
 
     let t0 = Instant::now();

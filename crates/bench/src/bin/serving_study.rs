@@ -25,16 +25,12 @@
 //! gate. Points are matched by the `name` label (`C1`, `C2`, ...), so
 //! the quick sweep diffs cleanly against the full committed baseline.
 
-use bench::{jobj, write_study_record, StudyArgs, Table};
+use bench::{jobj, paced_scheduler, paced_server, write_study_record, StudyArgs, Table};
 use serde::Serialize;
 use serde_json::Value;
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
+use spn_server::{LoadConfig, ServerConfig};
 use spn_telemetry::{RunKind, RunRecord};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Modelled device time per sample. 50 µs ⇒ each PE caps out at
@@ -58,39 +54,6 @@ struct Point {
     p50_ms: f64,
 }
 
-fn start_server() -> SpnServer {
-    let prog = DatapathProgram::compile(&MODEL.build_spn());
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            PES,
-            64 << 20,
-        )
-        .with_pacing(Duration::from_micros(PACING_US)),
-    );
-    let config = RuntimeConfig::builder()
-        .block_samples(256)
-        .threads_per_pe(1)
-        .verify_fraction(0.0)
-        .build()
-        .unwrap();
-    let scheduler = Arc::new(Scheduler::new(device, config).unwrap());
-    let spec = ModelSpec::new(MODEL.name(), scheduler, MODEL.num_vars() as u32, 256);
-    SpnServer::serve(
-        ServerConfig {
-            batch: BatchPolicy {
-                max_batch_samples: 256,
-                max_batch_delay: Duration::from_micros(200),
-            },
-            ..ServerConfig::default()
-        },
-        vec![spec],
-    )
-    .unwrap()
-}
-
 fn main() {
     let args = StudyArgs::parse();
     let sweep: &[usize] = if args.quick { &[1, 2] } else { &[1, 2, 4, 8] };
@@ -103,7 +66,14 @@ fn main() {
         sweep.last().unwrap()
     );
 
-    let mut server = start_server();
+    let scheduler = paced_scheduler(MODEL, PES, Duration::from_micros(PACING_US), 256);
+    let mut server = paced_server(
+        &scheduler,
+        MODEL,
+        &[MODEL.name().to_string()],
+        256,
+        ServerConfig::default(),
+    );
     let mut table = Table::new(vec![
         "connections",
         "ok requests",

@@ -18,11 +18,104 @@
 //! The `benches/` directory holds Criterion micro-benchmarks of the real
 //! computational kernels (arithmetic emulation, datapath execution, CPU
 //! baseline, runtime, simulation speed).
+//!
+//! The serving studies (`scheduler_study`, `serving_study`,
+//! `reactor_study`, `router_study`) share one fixture: a scheduler
+//! over a *paced* paper card ([`paced_scheduler`]), served by
+//! [`paced_server`], with [`no_listen_overflows`] guarding each point
+//! against dropped handshakes.
 
 use serde::Serialize;
+use spn_core::NipsBenchmark;
 use spn_replay::RunStore;
+use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
+use spn_server::{BatchPolicy, ModelSpec, ServerConfig, SpnServer};
 use spn_telemetry::RunRecord;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// A scheduler over the paper's `pes`-PE card for `model` whose
+/// launches sleep `pacing` per sample while holding the PE, so each
+/// PE's capacity is the known constant `1 / pacing` samples/s whatever
+/// the host speed. Blocks of `block_samples`, one control thread per
+/// PE, no verification sampling.
+pub fn paced_scheduler(
+    model: NipsBenchmark,
+    pes: u32,
+    pacing: Duration,
+    block_samples: u64,
+) -> Arc<Scheduler> {
+    let device = VirtualDevice::paper(&model.build_spn(), pes).with_pacing(pacing);
+    let config = RuntimeConfig::builder()
+        .block_samples(block_samples)
+        .threads_per_pe(1)
+        .verify_fraction(0.0)
+        .build()
+        .expect("valid runtime config");
+    Arc::new(Scheduler::new(Arc::new(device), config).expect("scheduler starts"))
+}
+
+/// Serve `model` under each of `names` from one `scheduler`, batching
+/// up to `max_batch_samples` samples for at most 200 µs; `config`
+/// supplies every other server setting.
+pub fn paced_server(
+    scheduler: &Arc<Scheduler>,
+    model: NipsBenchmark,
+    names: &[String],
+    max_batch_samples: u64,
+    config: ServerConfig,
+) -> SpnServer {
+    let specs = names
+        .iter()
+        .map(|name| ModelSpec::new(name, Arc::clone(scheduler), model.num_vars() as u32, 256))
+        .collect();
+    let config = ServerConfig {
+        batch: BatchPolicy {
+            max_batch_samples,
+            max_batch_delay: Duration::from_micros(200),
+        },
+        ..config
+    };
+    SpnServer::serve(config, specs).expect("server starts")
+}
+
+/// The kernel's `TcpExt: ListenOverflows` counter from
+/// `/proc/net/netstat`: handshakes dropped because a listen backlog
+/// was full. `None` where the file or the counter is missing.
+pub fn listen_overflows() -> Option<u64> {
+    let text = std::fs::read_to_string("/proc/net/netstat").ok()?;
+    let mut lines = text.lines();
+    while let Some(header) = lines.next() {
+        let values = lines.next()?;
+        if !header.starts_with("TcpExt:") {
+            continue;
+        }
+        let col = header
+            .split_whitespace()
+            .position(|h| h == "ListenOverflows")?;
+        return values.split_whitespace().nth(col)?.parse().ok();
+    }
+    None
+}
+
+/// Run one study point, panicking if `ListenOverflows` rose while it
+/// ran: a dropped handshake makes its client wait out SYN
+/// retransmits, so the point would time the kernel's retry clock
+/// instead of the system under test.
+pub fn no_listen_overflows<T>(point: &str, run: impl FnOnce() -> T) -> T {
+    let before = listen_overflows();
+    let out = run();
+    if let (Some(before), Some(after)) = (before, listen_overflows()) {
+        assert_eq!(
+            after,
+            before,
+            "{point}: {} listen overflow(s) during the run",
+            after.saturating_sub(before)
+        );
+    }
+    out
+}
 
 /// Write a JSON result record under `results/<name>.json`.
 ///

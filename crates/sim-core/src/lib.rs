@@ -28,7 +28,6 @@
 
 pub mod engine;
 pub mod hash;
-pub mod histogram;
 pub mod queue;
 pub mod resource;
 pub mod rng;
@@ -38,7 +37,6 @@ pub mod units;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use hash::{digest_lls, fnv1a64};
-pub use histogram::{HistogramSummary, LogHistogram};
 pub use queue::EventQueue;
 pub use resource::{Grant, MultiServer, Timeline};
 pub use rng::SplitMix64;

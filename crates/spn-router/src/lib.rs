@@ -41,7 +41,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod conn;
 pub mod health;
 pub mod metrics;
 pub mod pool;

@@ -1,13 +1,15 @@
 //! The router proper: a front-end listener speaking SPN1 to clients
 //! and fanning `Infer` requests over the backend pool.
 //!
-//! Threading mirrors `spn-server` (everything blocking): one accept
-//! thread, one thread per client connection, plus one health-prober
-//! thread. A client connection handles one request at a time: decode
-//! → pick replicas off the ring → forward with failover → write the
-//! response. `Ping`, `Stats` and `Shutdown` are answered locally —
-//! `Stats` returns the router's own telemetry document and `Shutdown`
-//! drains the router without touching the backends.
+//! Everything blocks: one accept thread, one thread per client
+//! connection, plus one health-prober thread. A client connection
+//! handles one request at a time: read a frame → pick replicas off the
+//! ring → forward with failover → write the response. Shutdown wakes a
+//! connection blocked in a read by shutting down the read half of its
+//! socket, so no thread polls. `Ping`, `Stats` and `Shutdown` are
+//! answered locally — `Stats` returns the router's own telemetry
+//! document and `Shutdown` drains the router without touching the
+//! backends.
 //!
 //! Failover contract (inference is pure, so a retry can never
 //! double-apply): an attempt moves to the next replica on connect
@@ -17,7 +19,6 @@
 //! mismatch, …) and is passed through to the client unchanged. A
 //! request fails only when every replica is exhausted.
 
-use crate::conn::{read_full, ReadOutcome};
 use crate::health::HealthPolicy;
 use crate::metrics::RouterMetrics;
 use crate::pool::Backend;
@@ -25,13 +26,12 @@ use crate::ring::HashRing;
 use parking_lot::{Condvar, Mutex};
 use spn_server::client::ClientError;
 use spn_server::protocol::{
-    parse_header, read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
-    HEADER_LEN,
+    read_frame, write_frame, Frame, InferRequest, Opcode, Status, WireError,
 };
 use spn_telemetry::{SpanKind, TelemetrySnapshot, TraceCollector, TELEMETRY_SCHEMA_VERSION};
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -64,8 +64,6 @@ pub struct RouterConfig {
     /// router expiring first turns would-be `ConnectionClosed`
     /// retries into ordinary fresh dials.
     pub pool_idle_ttl: Option<Duration>,
-    /// How often blocked client-side reads wake to check shutdown.
-    pub read_poll: Duration,
     /// Live span collector (`None` = tracing off); `route-pick` and
     /// `backend-rpc` spans land on the router track.
     pub trace: Option<Arc<TraceCollector>>,
@@ -82,7 +80,6 @@ impl Default for RouterConfig {
             connect_timeout: Duration::from_millis(500),
             rpc_timeout: Some(Duration::from_secs(30)),
             pool_idle_ttl: Some(Duration::from_secs(30)),
-            read_poll: Duration::from_millis(25),
             trace: None,
         }
     }
@@ -120,7 +117,6 @@ struct RouterShared {
     max_inflight_per_backend: u64,
     connect_timeout: Duration,
     rpc_timeout: Option<Duration>,
-    read_poll: Duration,
     shutting_down: AtomicBool,
     shutdown_flag: Mutex<bool>,
     shutdown_cv: Condvar,
@@ -143,13 +139,17 @@ impl RouterShared {
     }
 }
 
+/// A client connection's thread, with a clone of its socket through
+/// which shutdown unblocks the thread's reads.
+type ConnThread = (thread::JoinHandle<()>, TcpStream);
+
 /// A running cluster front-end. Dropping it drains and stops it
 /// (the backends are left running).
 pub struct SpnRouter {
     shared: Arc<RouterShared>,
     accept_thread: Option<thread::JoinHandle<()>>,
     health_thread: Option<thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    conn_threads: Arc<Mutex<Vec<ConnThread>>>,
 }
 
 impl SpnRouter {
@@ -184,7 +184,6 @@ impl SpnRouter {
             max_inflight_per_backend: config.max_inflight_per_backend,
             connect_timeout: config.connect_timeout,
             rpc_timeout: config.rpc_timeout,
-            read_poll: config.read_poll,
             shutting_down: AtomicBool::new(false),
             shutdown_flag: Mutex::new(false),
             shutdown_cv: Condvar::new(),
@@ -192,8 +191,7 @@ impl SpnRouter {
             trace: config.trace,
         });
 
-        let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
+        let conn_threads = Arc::new(Mutex::new(Vec::new()));
         let accept_shared = Arc::clone(&shared);
         let accept_conns = Arc::clone(&conn_threads);
         let accept_thread = thread::Builder::new()
@@ -266,8 +264,14 @@ impl SpnRouter {
         if let Some(t) = self.health_thread.take() {
             let _ = t.join();
         }
-        let mut conns = self.conn_threads.lock();
-        for t in conns.drain(..) {
+        // The accept thread is gone, so every connection is listed:
+        // end each one's reads (a thread mid-request still writes its
+        // reply), then join them all.
+        let conns: Vec<ConnThread> = self.conn_threads.lock().drain(..).collect();
+        for (_, socket) in &conns {
+            let _ = socket.shutdown(Shutdown::Read);
+        }
+        for (t, _) in conns {
             let _ = t.join();
         }
     }
@@ -282,7 +286,7 @@ impl Drop for SpnRouter {
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<RouterShared>,
-    conns: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<ConnThread>>>,
 ) {
     loop {
         match listener.accept() {
@@ -291,25 +295,31 @@ fn accept_loop(
                     drop(stream);
                     return;
                 }
+                let Ok(socket) = stream.try_clone() else {
+                    continue; // out of fds: refuse this client
+                };
                 let conn_shared = Arc::clone(&shared);
                 let t = thread::Builder::new()
                     .name(format!("spn-route-conn-{peer}"))
                     .spawn(move || {
-                        let _ = serve_connection(stream, &conn_shared);
+                        let _ = serve_connection(&stream, &conn_shared);
+                        // The socket clone outlives this thread until it
+                        // is reaped, so close the connection explicitly.
+                        let _ = stream.shutdown(Shutdown::Both);
                     })
                     .expect("spawn router connection thread");
                 let mut guard = conns.lock();
-                // Reap finished threads so connection churn does not
-                // accumulate JoinHandles without bound.
+                // Reap finished threads with their socket clones so
+                // connection churn accumulates neither handles nor fds.
                 let mut i = 0;
                 while i < guard.len() {
-                    if guard[i].is_finished() {
-                        let _ = guard.swap_remove(i).join();
+                    if guard[i].0.is_finished() {
+                        let _ = guard.swap_remove(i).0.join();
                     } else {
                         i += 1;
                     }
                 }
-                guard.push(t);
+                guard.push((t, socket));
             }
             Err(_) => {
                 if shared.is_shutting_down() {
@@ -348,28 +358,30 @@ fn health_loop(shared: Arc<RouterShared>, policy: HealthPolicy) {
             // pool only shrinks when a request checks out of it.
             backend.expire_idle();
         }
-        // Sleep the interval in read-poll slices so shutdown is
-        // observed promptly.
-        let mut left = policy.interval;
-        while !left.is_zero() && !shared.is_shutting_down() {
-            let step = left.min(shared.read_poll);
-            thread::sleep(step);
-            left -= step;
+        // Wait out the interval, waking at once on shutdown.
+        let deadline = Instant::now() + policy.interval;
+        let mut stopped = shared.shutdown_flag.lock();
+        while !*stopped {
+            let now = Instant::now();
+            if now >= deadline {
+                break;
+            }
+            shared.shutdown_cv.wait_for(&mut stopped, deadline - now);
         }
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &RouterShared) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.read_poll))?;
+/// Serve one client until it closes, shutdown ends its reads, or its
+/// stream stops being frame-aligned. A client that closes — at a frame
+/// boundary or mid-frame — gets no reply; the read error just ends
+/// the loop.
+fn serve_connection(mut stream: &TcpStream, shared: &RouterShared) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    loop {
-        let mut header = [0u8; HEADER_LEN];
-        match read_full(&mut stream, &mut header, || shared.is_shutting_down())? {
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-            ReadOutcome::Full => {}
-        }
-        let (opcode, _status, len) = match parse_header(&header) {
-            Ok(h) => h,
+    while !shared.is_shutting_down() {
+        let Frame {
+            opcode, payload, ..
+        } = match read_frame(&mut stream) {
+            Ok(frame) => frame,
             Err(WireError::Malformed(m)) => {
                 // The stream is no longer frame-aligned: answer once,
                 // then close. Backends never see the bad bytes.
@@ -382,12 +394,6 @@ fn serve_connection(mut stream: TcpStream, shared: &RouterShared) -> io::Result<
             }
             Err(WireError::Io(e)) => return Err(e),
         };
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut stream, &mut payload, || shared.is_shutting_down())? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Eof | ReadOutcome::Shutdown => return Ok(()),
-        }
-
         match opcode {
             Opcode::Ping => {
                 write_frame(
@@ -415,6 +421,7 @@ fn serve_connection(mut stream: TcpStream, shared: &RouterShared) -> io::Result<
             }
         }
     }
+    Ok(())
 }
 
 /// How one forwarding attempt ended.

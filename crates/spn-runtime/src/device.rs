@@ -162,6 +162,22 @@ impl VirtualDevice {
         }
     }
 
+    /// The paper's card for `spn`: its datapath in the paper-default
+    /// CFP format on the paper-default accelerator, `num_pes` PEs with
+    /// a 64 MiB channel each. Chain [`VirtualDevice::with_model`],
+    /// [`VirtualDevice::with_pacing`] or [`VirtualDevice::with_faults`]
+    /// as needed; [`VirtualDevice::new`] builds any other format or
+    /// channel size.
+    pub fn paper(spn: &Spn, num_pes: u32) -> Self {
+        VirtualDevice::new(
+            DatapathProgram::compile(spn),
+            AnyFormat::paper_default(),
+            AcceleratorConfig::paper_default(),
+            num_pes,
+            64 << 20,
+        )
+    }
+
     /// Model a fixed per-sample service time: every `launch` sleeps
     /// `num_samples × per_sample` while holding the PE, so the PE
     /// behaves like real hardware with a fixed sample rate instead of
@@ -356,21 +372,11 @@ impl VirtualDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::MIB;
-    use spn_arith::CfpFormat;
     use spn_core::{Evaluator, NipsBenchmark, Query};
 
     fn device(pes: u32) -> (VirtualDevice, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        );
-        (dev, bench)
+        (VirtualDevice::paper(&bench.build_spn(), pes), bench)
     }
 
     #[test]
@@ -407,16 +413,8 @@ mod tests {
 
     #[test]
     fn paced_launch_occupies_the_pe_for_the_modelled_time() {
-        let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            1,
-            16 * MIB,
-        )
-        .with_pacing(Duration::from_micros(500));
+        let (dev, bench) = device(1);
+        let dev = dev.with_pacing(Duration::from_micros(500));
         let data = bench.dataset(16, 3);
         let inb = dev.memory().alloc(0, data.raw().len() as u64).unwrap();
         let outb = dev.memory().alloc(0, 16 * 8).unwrap();
@@ -473,16 +471,8 @@ mod tests {
 
     #[test]
     fn transient_launch_faults_are_loud_and_retryable() {
-        let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            1,
-            16 * MIB,
-        )
-        .with_faults(FaultInjection {
+        let (dev, bench) = device(1);
+        let dev = dev.with_faults(FaultInjection {
             launch_fail_probability: 0.5,
             seed: 11,
             ..FaultInjection::default()

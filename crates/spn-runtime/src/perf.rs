@@ -161,7 +161,7 @@ fn simulate_impl(cfg: &PerfConfig, mut trace: Option<&mut Trace>) -> PerfResult 
     // Per-thread bookkeeping for tracing/latency.
     let mut block_seq: Vec<u64> = vec![0; num_threads as usize];
     let mut issued_at: Vec<SimTime> = vec![SimTime::ZERO; num_threads as usize];
-    let mut latency = sim_core::LogHistogram::latency();
+    let latency = spn_telemetry::AtomicHistogram::latency();
 
     let mut queue: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -266,7 +266,10 @@ fn simulate_impl(cfg: &PerfConfig, mut trace: Option<&mut Trace>) -> PerfResult 
                 } else {
                     ev.time
                 };
-                latency.record_duration(done.saturating_since(issued_at[ev.tid as usize]));
+                latency.record(
+                    done.saturating_since(issued_at[ev.tid as usize])
+                        .as_secs_f64(),
+                );
                 makespan = makespan.max(done);
                 Event {
                     time: done,
@@ -281,6 +284,7 @@ fn simulate_impl(cfg: &PerfConfig, mut trace: Option<&mut Trace>) -> PerfResult 
     }
 
     let secs = makespan.as_secs_f64();
+    let lat = latency.summary();
     let pe_util: f64 =
         pes.iter().map(|p| p.utilization(makespan)).sum::<f64>() / cfg.num_pes as f64;
     PerfResult {
@@ -289,7 +293,7 @@ fn simulate_impl(cfg: &PerfConfig, mut trace: Option<&mut Trace>) -> PerfResult 
         dma_utilization: dma.utilization(Direction::HostToDevice, makespan),
         pe_utilization: pe_util,
         pcie_bytes,
-        block_latency: latency.percentiles(),
+        block_latency: (lat.count > 0).then_some((lat.p50, lat.p95, lat.p99)),
     }
 }
 

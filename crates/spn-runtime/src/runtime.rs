@@ -366,21 +366,11 @@ impl SpnRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::MIB;
-    use spn_arith::{AnyFormat, CfpFormat};
     use spn_core::{Evaluator, NipsBenchmark, Query};
-    use spn_hw::{AcceleratorConfig, DatapathProgram};
 
     fn runtime(pes: u32, cfg: RuntimeConfig) -> (SpnRuntime, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        );
+        let dev = VirtualDevice::paper(&bench.build_spn(), pes);
         (SpnRuntime::new(Arc::new(dev), cfg), bench)
     }
 
@@ -596,15 +586,7 @@ mod tests {
     fn runtime_with_model(pes: u32, cfg: RuntimeConfig) -> (SpnRuntime, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
         let spn = bench.build_spn();
-        let prog = DatapathProgram::compile(&spn);
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        )
-        .with_model(Arc::new(spn));
+        let dev = VirtualDevice::paper(&spn, pes).with_model(Arc::new(spn));
         (SpnRuntime::new(Arc::new(dev), cfg), bench)
     }
 

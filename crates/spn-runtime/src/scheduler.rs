@@ -1024,23 +1024,15 @@ fn run_block(
 mod tests {
     use super::*;
     use crate::device::FaultInjection;
-    use sim_core::MIB;
-    use spn_arith::{AnyFormat, CfpFormat};
     use spn_core::Query;
     use spn_core::{Evaluator, NipsBenchmark};
-    use spn_hw::{AcceleratorConfig, DatapathProgram};
 
     fn device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        );
-        (Arc::new(dev), bench)
+        (
+            Arc::new(VirtualDevice::paper(&bench.build_spn(), pes)),
+            bench,
+        )
     }
 
     fn config(block: u64, threads: u32) -> RuntimeConfig {
@@ -1156,21 +1148,13 @@ mod tests {
     #[test]
     fn transient_faults_retried_to_success() {
         let bench = NipsBenchmark::Nips10;
-        let prog = DatapathProgram::compile(&bench.build_spn());
-        let dev = Arc::new(
-            VirtualDevice::new(
-                prog,
-                AnyFormat::Cfp(CfpFormat::paper_default()),
-                AcceleratorConfig::paper_default(),
-                2,
-                16 * MIB,
-            )
-            .with_faults(FaultInjection {
+        let dev = Arc::new(VirtualDevice::paper(&bench.build_spn(), 2).with_faults(
+            FaultInjection {
                 launch_fail_probability: 0.4,
                 seed: 41,
                 ..FaultInjection::default()
-            }),
-        );
+            },
+        ));
         let sched = Scheduler::new(dev, config(128, 2)).unwrap();
         let data = Arc::new(bench.dataset(1500, 6));
         let opts = JobOptions::builder()
@@ -1309,15 +1293,7 @@ mod tests {
     fn model_device(pes: u32) -> (Arc<VirtualDevice>, NipsBenchmark) {
         let bench = NipsBenchmark::Nips10;
         let spn = Arc::new(bench.build_spn());
-        let prog = DatapathProgram::compile(&spn);
-        let dev = VirtualDevice::new(
-            prog,
-            AnyFormat::Cfp(CfpFormat::paper_default()),
-            AcceleratorConfig::paper_default(),
-            pes,
-            16 * MIB,
-        )
-        .with_model(spn);
+        let dev = VirtualDevice::paper(&spn, pes).with_model(spn);
         (Arc::new(dev), bench)
     }
 

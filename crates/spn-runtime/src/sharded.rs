@@ -22,7 +22,8 @@
 //! while its thread holds the (virtual) device. Because shards split
 //! the *model*, a balanced K-way cut makes each device hold ~1/K of
 //! the nodes — concurrent paced shards finish in ~1/K the wall time of
-//! the unsharded model, which is what `spn bench shard-study` sweeps.
+//! the unsharded model, which is what the `shard_study` bench bin
+//! (`cargo run --release -p bench --bin shard_study`) sweeps.
 
 use crate::plan_cache::PlanCache;
 use spn_core::{CompiledPlan, PlanExecutor, Query, ShardPlan};

@@ -1,20 +1,41 @@
-//! Lock-free log-bucketed histogram.
+//! Lock-free log-bucketed histogram — the workspace's one histogram.
 //!
-//! [`AtomicHistogram`] is the concurrent counterpart of
-//! [`sim_core::LogHistogram`]: same geometric bucketing idea (8
-//! sub-buckets per octave, ≈ 9 % relative resolution), but every
-//! recording is a relaxed atomic increment plus two CAS loops — no
-//! mutex on the request hot path, and no `&mut self`, so one shared
-//! instance can absorb recordings from every connection thread.
+//! [`AtomicHistogram`] buckets values log-linearly (8 sub-buckets per
+//! octave, so a bucket is at most 9/8 wide), and every recording is a
+//! relaxed atomic increment plus two CAS loops — no mutex on the
+//! request hot path, and no `&mut self`, so one shared instance can
+//! absorb recordings from every connection thread. Single-threaded
+//! users (the virtual-time model in `spn-runtime::perf`) record
+//! through the same type.
 //!
 //! Bucket indexing extracts the exponent and the top three mantissa
 //! bits of `value / min` straight from the IEEE-754 representation
 //! (HdrHistogram-style), so `record` is branch-light and allocation
 //! free.
 
-use sim_core::HistogramSummary;
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
+
+/// Compact six-number summary of a distribution: the shape every
+/// telemetry snapshot embeds for a histogram. All-zero when the
+/// histogram was empty (`count == 0`), so snapshots of idle systems
+/// stay deterministic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct HistogramSummary {
+    /// Number of recorded samples.
+    pub count: u64,
+    /// Arithmetic mean (exact — tracked outside the buckets).
+    pub mean: f64,
+    /// Median, to bucket resolution.
+    pub p50: f64,
+    /// 95th percentile, to bucket resolution.
+    pub p95: f64,
+    /// 99th percentile, to bucket resolution.
+    pub p99: f64,
+    /// Largest recorded value (exact).
+    pub max: f64,
+}
 
 /// log2(sub-buckets per octave).
 const SUB_BITS: u32 = 3;
@@ -24,7 +45,7 @@ const SUB: u64 = 1 << SUB_BITS;
 /// Fixed-size lock-free histogram over positive values.
 ///
 /// Values at or below `min` land in the underflow bucket (reported as
-/// `min` by quantiles, like `LogHistogram`); values beyond `max` clamp
+/// `min` by quantiles); values beyond `max` clamp
 /// into the last bucket (quantiles then report the exact maximum
 /// seen). `sum` and `max` are f64s maintained by CAS on their bit
 /// patterns, so [`HistogramSummary::mean`] and `max` stay exact.
@@ -63,8 +84,7 @@ impl AtomicHistogram {
         }
     }
 
-    /// Latency-flavoured default: 1 ns .. 10 s, like
-    /// [`sim_core::LogHistogram::latency`].
+    /// Latency-flavoured default: 1 ns .. 10 s.
     pub fn latency() -> Self {
         AtomicHistogram::new(1e-9, 10.0)
     }
@@ -245,25 +265,30 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_log_histogram_on_shared_percentiles() {
-        // Same sub-bucket-per-octave resolution as LogHistogram's
-        // growth 2^(1/8): quantiles must land within one bucket width.
-        let atomic = AtomicHistogram::latency();
-        let mut log = sim_core::LogHistogram::latency();
-        let mut x = 1.7e-6;
-        for _ in 0..5000 {
-            atomic.record(x);
-            log.record(x);
-            x = (x * 1.003).min(5.0);
+    fn durations_record_in_seconds() {
+        let h = AtomicHistogram::latency();
+        h.record_duration(Duration::from_micros(100));
+        let p50 = h.quantile(0.5).unwrap();
+        assert!((1e-4..1.25e-4).contains(&p50), "{p50}");
+    }
+
+    #[test]
+    fn summary_matches_queries_and_is_zero_when_empty() {
+        assert_eq!(
+            AtomicHistogram::latency().summary(),
+            HistogramSummary::default()
+        );
+        let h = AtomicHistogram::new(1.0, 1e6);
+        for i in 1..=100 {
+            h.record(i as f64);
         }
-        let (lp50, lp95, lp99) = log.percentiles().unwrap();
-        for (q, l) in [(0.5, lp50), (0.95, lp95), (0.99, lp99)] {
-            let a = atomic.quantile(q).unwrap();
-            assert!(
-                (a / l).ln().abs() < 0.25,
-                "q{q}: atomic {a} vs log {l} differ beyond bucket error"
-            );
-        }
+        let s = h.summary();
+        assert_eq!(s.count, 100);
+        assert_eq!(s.max, 100.0);
+        assert_eq!(s.mean, h.mean().unwrap());
+        assert_eq!(s.p50, h.quantile(0.5).unwrap());
+        assert_eq!(s.p95, h.quantile(0.95).unwrap());
+        assert_eq!(s.p99, h.quantile(0.99).unwrap());
     }
 
     #[test]

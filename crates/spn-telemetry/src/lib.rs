@@ -34,9 +34,8 @@ mod span;
 
 pub use collector::{LiveSpan, TraceCollector};
 pub use ctx::{SpanCtx, TraceId};
-pub use histogram::AtomicHistogram;
+pub use histogram::{AtomicHistogram, HistogramSummary};
 pub use run::{Provenance, RunKind, RunRecord, RUN_RECORD_SCHEMA_VERSION};
-pub use sim_core::HistogramSummary;
 pub use snapshot::{
     BackendTelemetry, BatcherTelemetry, ModelTelemetry, PlanTelemetry, ReactorTelemetry,
     RouterTelemetry, SchedulerTelemetry, ServingTelemetry, ShardTelemetry, TelemetrySnapshot,

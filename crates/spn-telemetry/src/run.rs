@@ -17,10 +17,10 @@
 //! contract (pinned by `tests/metrics_json.rs`); bump
 //! [`RUN_RECORD_SCHEMA_VERSION`] on any breaking change.
 
+use crate::HistogramSummary;
 use crate::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use sim_core::HistogramSummary;
 use std::process::Command;
 
 /// Version stamp of the [`RunRecord`] JSON schema.

@@ -14,8 +14,8 @@
 //! part of the contract (pinned by `tests/metrics_json.rs`); bump
 //! [`TELEMETRY_SCHEMA_VERSION`] on any breaking change.
 
+use crate::HistogramSummary;
 use serde::{Deserialize, Serialize};
-use sim_core::HistogramSummary;
 use std::collections::BTreeMap;
 
 /// Version stamp of the [`TelemetrySnapshot`] JSON schema.

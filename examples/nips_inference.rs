@@ -9,9 +9,8 @@
 //! cargo run --release -p examples --bin nips_inference [NIPS10|...|NIPS80] [num_pes]
 //! ```
 
-use spn_arith::{AnyFormat, CfpFormat};
 use spn_core::{Evaluator, NipsBenchmark, Query};
-use spn_hw::{AcceleratorConfig, DatapathProgram};
+use spn_hw::DatapathProgram;
 use spn_runtime::perf::{simulate, PerfConfig};
 use spn_runtime::{JobOptions, RuntimeConfig, SpnRuntime, VirtualDevice};
 use std::sync::Arc;
@@ -34,21 +33,14 @@ fn main() {
 
     // "Synthesize" the accelerator: compile the SPN to a datapath in the
     // paper's CFP format and instantiate PEs on the virtual card.
-    let program = DatapathProgram::compile(&spn);
-    let counts = program.op_counts();
+    let counts = DatapathProgram::compile(&spn).op_counts();
     println!(
         "datapath: {} lookups, {} multipliers, {} adders",
         counts.lookups,
         counts.total_muls(),
         counts.adds
     );
-    let device = Arc::new(VirtualDevice::new(
-        program,
-        AnyFormat::Cfp(CfpFormat::paper_default()),
-        AcceleratorConfig::paper_default(),
-        num_pes,
-        64 << 20,
-    ));
+    let device = Arc::new(VirtualDevice::paper(&spn, num_pes));
 
     // The runtime discovers the PE configuration from the device —
     // the paper's configuration-readout mode.

@@ -12,23 +12,14 @@
 //! exercised with `spn load` — this example is the library-level view
 //! of that toolflow.
 
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
 use spn_server::{BatchPolicy, Client, LoadConfig, ModelSpec, ServerConfig, SpnServer};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn make_device(bench: NipsBenchmark, pes: u32) -> Arc<VirtualDevice> {
-    let program = DatapathProgram::compile(&bench.build_spn());
-    Arc::new(VirtualDevice::new(
-        program,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        pes,
-        64 << 20,
-    ))
+    Arc::new(VirtualDevice::paper(&bench.build_spn(), pes))
 }
 
 fn make_model(bench: NipsBenchmark, pes: u32) -> ModelSpec {

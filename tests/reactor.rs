@@ -4,51 +4,10 @@
 //! and idle-timeout reaping. That the reactor answers bit for bit
 //! what the committed traces recorded is proved in `replay.rs`.
 
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
-use spn_runtime::{RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{
-    BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, SpnServer, Status,
-};
-use std::sync::Arc;
+use spn_server::{Client, ClientError, LoadConfig, Status};
 use std::time::Duration;
-
-fn make_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let device = Arc::new(VirtualDevice::new(
-        prog,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        2,
-        64 << 20,
-    ));
-    let config = RuntimeConfig::builder()
-        .block_samples(512)
-        .threads_per_pe(2)
-        .build()
-        .unwrap();
-    Arc::new(Scheduler::new(device, config).unwrap())
-}
-
-/// A one-model server; `tune` adjusts the reactor settings.
-fn start_server(bench: NipsBenchmark, tune: impl FnOnce(&mut ServerConfig)) -> SpnServer {
-    let spec = ModelSpec::new(
-        bench.name(),
-        make_scheduler(bench),
-        bench.num_vars() as u32,
-        256,
-    );
-    let mut config = ServerConfig {
-        batch: BatchPolicy {
-            max_batch_samples: 4096,
-            max_batch_delay: Duration::from_millis(2),
-        },
-        ..ServerConfig::default()
-    };
-    tune(&mut config);
-    SpnServer::serve(config, vec![spec]).unwrap()
-}
+use system_tests::start_server;
 
 /// Connection count for the smoke: `SPN_REACTOR_CONNS` wins, else 10k
 /// under `SPN_FULL_SWEEP=1`, else a CI-sized 1k — always clamped to

@@ -4,52 +4,14 @@
 //! to the recording — including through a router failover with one
 //! replica killed mid-replay.
 
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_replay::{record_load, replay, Burst, ReplayConfig, ReplayReport, RunStore, Trace};
 use spn_router::{HealthPolicy, RouterConfig, SpnRouter};
 use spn_runtime::{ExecBackend, JobOptions, RuntimeConfig, Scheduler, VirtualDevice};
-use spn_server::{BatchPolicy, LoadConfig, ModelSpec, ServerConfig, SpnServer};
+use spn_server::{LoadConfig, ModelSpec, ServerConfig, SpnServer};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn make_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let device = Arc::new(VirtualDevice::new(
-        prog,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        2,
-        64 << 20,
-    ));
-    let config = RuntimeConfig::builder()
-        .block_samples(512)
-        .threads_per_pe(2)
-        .build()
-        .unwrap();
-    Arc::new(Scheduler::new(device, config).unwrap())
-}
-
-fn start_backend(bench: NipsBenchmark) -> SpnServer {
-    let spec = ModelSpec::new(
-        bench.name(),
-        make_scheduler(bench),
-        bench.num_vars() as u32,
-        256,
-    );
-    SpnServer::serve(
-        ServerConfig {
-            batch: BatchPolicy {
-                max_batch_samples: 4096,
-                max_batch_delay: Duration::from_millis(2),
-            },
-            ..ServerConfig::default()
-        },
-        vec![spec],
-    )
-    .unwrap()
-}
+use system_tests::start_server;
 
 fn load_config(addr: std::net::SocketAddr, bench: NipsBenchmark) -> LoadConfig {
     LoadConfig {
@@ -71,7 +33,7 @@ fn load_config(addr: std::net::SocketAddr, bench: NipsBenchmark) -> LoadConfig {
 #[test]
 fn recorded_trace_replays_bit_identically_twice() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_backend(bench);
+    let server = start_server(bench, |_| {});
     let cfg = load_config(server.local_addr(), bench);
 
     let (report, trace) = record_load(&cfg).expect("record run");
@@ -123,7 +85,7 @@ fn recorded_trace_replays_bit_identically_twice() {
 #[test]
 fn burst_replay_is_still_bit_identical() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_backend(bench);
+    let server = start_server(bench, |_| {});
     let (_, trace) = record_load(&load_config(server.local_addr(), bench)).unwrap();
 
     let mut cfg = ReplayConfig::new(server.local_addr());
@@ -151,7 +113,7 @@ fn burst_replay_is_still_bit_identical() {
 #[test]
 fn replay_through_router_failover_conserves_requests() {
     let bench = NipsBenchmark::Nips10;
-    let mut servers = [start_backend(bench), start_backend(bench)];
+    let mut servers = [start_server(bench, |_| {}), start_server(bench, |_| {})];
     let router = SpnRouter::start(RouterConfig {
         backends: servers.iter().map(|s| s.local_addr().to_string()).collect(),
         replication: 2,
@@ -204,17 +166,7 @@ fn replay_through_router_failover_conserves_requests() {
 /// every job asks for `ExecBackend::Sharded(k)`.
 fn make_sharded_scheduler(bench: NipsBenchmark) -> Arc<Scheduler> {
     let spn = bench.build_spn();
-    let prog = DatapathProgram::compile(&spn);
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            2,
-            64 << 20,
-        )
-        .with_model(Arc::new(spn)),
-    );
+    let device = Arc::new(VirtualDevice::paper(&spn, 2).with_model(Arc::new(spn)));
     let config = RuntimeConfig::builder()
         .block_samples(512)
         .threads_per_pe(2)
@@ -242,17 +194,7 @@ fn start_sharded_multimodel_server() -> (SpnServer, Vec<Arc<Scheduler>>) {
             ),
         );
     }
-    let server = SpnServer::serve(
-        ServerConfig {
-            batch: BatchPolicy {
-                max_batch_samples: 4096,
-                max_batch_delay: Duration::from_millis(2),
-            },
-            ..ServerConfig::default()
-        },
-        specs,
-    )
-    .unwrap();
+    let server = SpnServer::serve(ServerConfig::default(), specs).unwrap();
     (server, schedulers)
 }
 
@@ -388,7 +330,7 @@ fn committed_bursty_trace_replays_bit_for_bit_through_sharded_runtime() {
 /// backend landed.
 #[test]
 fn committed_traces_replay_bit_identically_through_reactor() {
-    let server = start_backend(NipsBenchmark::Nips10);
+    let server = start_server(NipsBenchmark::Nips10, |_| {});
     replay_bit_identically(THREADED_64CONN_TRACE, &server, 256);
     let (server, _) = start_sharded_multimodel_server();
     replay_bit_identically(COMMITTED_TRACE, &server, 36);
@@ -403,7 +345,7 @@ fn replay_run_record_lands_in_the_store() {
     use spn_telemetry::{RunKind, RunRecord};
 
     let bench = NipsBenchmark::Nips10;
-    let server = start_backend(bench);
+    let server = start_server(bench, |_| {});
     let (_, trace) = record_load(&load_config(server.local_addr(), bench)).unwrap();
     let rep = replay(&trace, &ReplayConfig::new(server.local_addr())).unwrap();
 

@@ -9,9 +9,7 @@
 //! * a failing job never poisons a concurrent healthy one;
 //! * `cancel()` frees device memory and unblocks `wait()`.
 
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::prelude::*;
 use std::sync::Arc;
 
@@ -20,14 +18,7 @@ fn make_device(
     pes: u32,
     faults: Option<FaultInjection>,
 ) -> Arc<VirtualDevice> {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    let mut dev = VirtualDevice::new(
-        prog,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        pes,
-        16 << 20,
-    );
+    let mut dev = VirtualDevice::paper(&bench.build_spn(), pes);
     if let Some(f) = faults {
         dev = dev.with_faults(f);
     }
@@ -306,17 +297,7 @@ fn host_plan_jobs_share_the_cache_and_skip_the_device() {
     let trace = Arc::new(TraceCollector::new());
 
     let mk = |trace: Option<Arc<TraceCollector>>| {
-        let prog = spn_hw::DatapathProgram::compile(&spn);
-        let device = Arc::new(
-            VirtualDevice::new(
-                prog,
-                AnyFormat::paper_default(),
-                spn_hw::AcceleratorConfig::paper_default(),
-                2,
-                16 << 20,
-            )
-            .with_model(Arc::clone(&spn)),
-        );
+        let device = Arc::new(VirtualDevice::paper(&spn, 2).with_model(Arc::clone(&spn)));
         Scheduler::with_cache(device, config, trace, Arc::clone(&cache)).unwrap()
     };
 

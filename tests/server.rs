@@ -2,9 +2,7 @@
 //! path client → wire protocol → admission → micro-batcher →
 //! scheduler → virtual device → demux → client.
 
-use spn_arith::AnyFormat;
 use spn_core::NipsBenchmark;
-use spn_hw::{AcceleratorConfig, DatapathProgram};
 use spn_runtime::{JobOptions, RuntimeConfig, Scheduler, SpnRuntime, VirtualDevice};
 use spn_server::{
     protocol, BatchPolicy, Client, ClientError, LoadConfig, ModelSpec, ServerConfig, SpnServer,
@@ -15,60 +13,7 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn make_device(bench: NipsBenchmark, pes: u32) -> Arc<VirtualDevice> {
-    let prog = DatapathProgram::compile(&bench.build_spn());
-    Arc::new(VirtualDevice::new(
-        prog,
-        AnyFormat::paper_default(),
-        AcceleratorConfig::paper_default(),
-        pes,
-        64 << 20,
-    ))
-}
-
-fn make_scheduler_with(
-    bench: NipsBenchmark,
-    pes: u32,
-    verify: f64,
-    block_samples: u64,
-) -> Arc<Scheduler> {
-    let config = RuntimeConfig::builder()
-        .block_samples(block_samples)
-        .threads_per_pe(2)
-        .verify_fraction(verify)
-        .build()
-        .unwrap();
-    Arc::new(Scheduler::new(make_device(bench, pes), config).unwrap())
-}
-
-fn start_server(bench: NipsBenchmark, batch: BatchPolicy, max_inflight: u64) -> SpnServer {
-    start_server_tuned(bench, batch, max_inflight, 0.0, 512)
-}
-
-fn start_server_tuned(
-    bench: NipsBenchmark,
-    batch: BatchPolicy,
-    max_inflight: u64,
-    verify: f64,
-    block_samples: u64,
-) -> SpnServer {
-    let spec = ModelSpec::new(
-        bench.name(),
-        make_scheduler_with(bench, 2, verify, block_samples),
-        bench.num_vars() as u32,
-        256,
-    );
-    SpnServer::serve(
-        ServerConfig {
-            batch,
-            max_inflight_samples: max_inflight,
-            ..ServerConfig::default()
-        },
-        vec![spec],
-    )
-    .unwrap()
-}
+use system_tests::{make_scheduler, start_server};
 
 /// Acceptance: results over the wire are *bit-identical* to a direct
 /// `SpnRuntime::infer` run, under ≥ 4 concurrent clients whose
@@ -81,7 +26,7 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
 
     // Ground truth on an identically-built (deterministic) device.
     let runtime = SpnRuntime::new(
-        make_device(bench, 2),
+        Arc::new(VirtualDevice::paper(&bench.build_spn(), 2)),
         RuntimeConfig::builder().block_samples(512).build().unwrap(),
     );
     let expected: Vec<f64> = runtime
@@ -92,14 +37,12 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
         .map(|p| p.ln())
         .collect();
 
-    let server = start_server(
-        bench,
-        BatchPolicy {
+    let server = start_server(bench, |c| {
+        c.batch = BatchPolicy {
             max_batch_samples: 4096,
             max_batch_delay: Duration::from_millis(3),
-        },
-        1 << 20,
-    );
+        };
+    });
     let addr = server.local_addr();
 
     // 4 clients, each sending its quarter of the dataset in small
@@ -179,6 +122,27 @@ fn loopback_is_bit_identical_to_direct_runtime_under_four_clients() {
 #[test]
 fn batching_beats_per_request_throughput() {
     let bench = NipsBenchmark::Nips80;
+    // Tiny blocks with verification sampling: per-job costs that
+    // batching amortises.
+    let serve = |batch: BatchPolicy| {
+        let config = RuntimeConfig::builder()
+            .block_samples(4)
+            .threads_per_pe(2)
+            .verify_fraction(0.05)
+            .build()
+            .unwrap();
+        let device = Arc::new(VirtualDevice::paper(&bench.build_spn(), 2));
+        let scheduler = Arc::new(Scheduler::new(device, config).unwrap());
+        let spec = ModelSpec::new(bench.name(), scheduler, bench.num_vars() as u32, 256);
+        SpnServer::serve(
+            ServerConfig {
+                batch,
+                ..ServerConfig::default()
+            },
+            vec![spec],
+        )
+        .unwrap()
+    };
     let load = |server: &SpnServer| {
         LoadConfig {
             addr: server.local_addr(),
@@ -197,30 +161,18 @@ fn batching_beats_per_request_throughput() {
 
     // (a) per-request: every request becomes its own scheduler job.
     let per_request = {
-        let server = start_server_tuned(
-            bench,
-            BatchPolicy {
-                max_batch_samples: 1,
-                max_batch_delay: Duration::from_micros(1),
-            },
-            1 << 20,
-            0.05,
-            4,
-        );
+        let server = serve(BatchPolicy {
+            max_batch_samples: 1,
+            max_batch_delay: Duration::from_micros(1),
+        });
         load(&server)
     };
     // (b) adaptive micro-batching.
     let batched = {
-        let server = start_server_tuned(
-            bench,
-            BatchPolicy {
-                max_batch_samples: 4096,
-                max_batch_delay: Duration::from_micros(200),
-            },
-            1 << 20,
-            0.05,
-            4,
-        );
+        let server = serve(BatchPolicy {
+            max_batch_samples: 4096,
+            max_batch_delay: Duration::from_micros(200),
+        });
         load(&server)
     };
 
@@ -242,14 +194,12 @@ fn batching_beats_per_request_throughput() {
 #[test]
 fn deadline_expires_in_the_batch_queue() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(
-        bench,
-        BatchPolicy {
+    let server = start_server(bench, |c| {
+        c.batch = BatchPolicy {
             max_batch_samples: 1 << 20, // never fills
             max_batch_delay: Duration::from_millis(150),
-        },
-        1 << 20,
-    );
+        };
+    });
     let mut client = Client::connect(server.local_addr()).unwrap();
     let data = vec![0u8; bench.num_vars()];
     let err = client
@@ -272,7 +222,7 @@ fn deadline_expires_in_the_batch_queue() {
 #[test]
 fn server_busy_does_not_affect_other_connections() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 4);
+    let server = start_server(bench, |c| c.max_inflight_samples = 4);
     let nf = bench.num_vars() as u32;
 
     let mut big = Client::connect(server.local_addr()).unwrap();
@@ -303,7 +253,7 @@ fn server_busy_does_not_affect_other_connections() {
 #[test]
 fn unknown_model_and_shape_mismatch_statuses() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 1 << 20);
+    let server = start_server(bench, |_| {});
     let mut client = Client::connect(server.local_addr()).unwrap();
 
     match client
@@ -339,7 +289,7 @@ fn out_of_domain_feature_bytes_are_rejected_not_fatal() {
     let nf = bench.num_vars() as u32;
     // Register the model with a narrow domain so 0/1 are valid and
     // anything larger is out of range.
-    let spec = ModelSpec::new(bench.name(), make_scheduler_with(bench, 2, 0.0, 512), nf, 2);
+    let spec = ModelSpec::new(bench.name(), make_scheduler(bench), nf, 2);
     let server = SpnServer::serve(ServerConfig::default(), vec![spec]).unwrap();
 
     let mut vandal = Client::connect(server.local_addr()).unwrap();
@@ -383,7 +333,7 @@ fn enqueue_after_drain_is_refused_not_stranded() {
     let bench = NipsBenchmark::Nips10;
     let batcher = spn_server::Batcher::new(
         bench.name(),
-        make_scheduler_with(bench, 2, 0.0, 512),
+        make_scheduler(bench),
         bench.num_vars(),
         256,
         BatchPolicy::default(),
@@ -410,12 +360,7 @@ fn enqueue_after_drain_is_refused_not_stranded() {
 fn stats_json_escapes_model_names() {
     let bench = NipsBenchmark::Nips10;
     let name = "nips\"10\\weird";
-    let spec = ModelSpec::new(
-        name,
-        make_scheduler_with(bench, 2, 0.0, 512),
-        bench.num_vars() as u32,
-        256,
-    );
+    let spec = ModelSpec::new(name, make_scheduler(bench), bench.num_vars() as u32, 256);
     let server = SpnServer::serve(ServerConfig::default(), vec![spec]).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let json = client.stats().unwrap();
@@ -431,7 +376,7 @@ fn stats_json_escapes_model_names() {
 #[test]
 fn malformed_frames_are_contained_per_connection() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 1 << 20);
+    let server = start_server(bench, |_| {});
     let nf = bench.num_vars() as u32;
 
     // (1) Broken framing (bad magic): error frame, then close.
@@ -471,7 +416,7 @@ fn malformed_frames_are_contained_per_connection() {
 #[test]
 fn disconnect_mid_request_is_survived() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 1 << 20);
+    let server = start_server(bench, |_| {});
 
     {
         let mut torn = TcpStream::connect(server.local_addr()).unwrap();
@@ -502,7 +447,7 @@ fn disconnect_mid_request_is_survived() {
 #[test]
 fn stats_opcode_returns_parsable_json() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 1 << 20);
+    let server = start_server(bench, |_| {});
     let mut client = Client::connect(server.local_addr()).unwrap();
     let nf = bench.num_vars() as u32;
     client
@@ -554,7 +499,12 @@ fn trace_ids_propagate_from_wire_to_device_spans() {
         .build()
         .unwrap();
     let scheduler = Arc::new(
-        Scheduler::with_trace(make_device(bench, 2), config, Some(Arc::clone(&collector))).unwrap(),
+        Scheduler::with_trace(
+            Arc::new(VirtualDevice::paper(&bench.build_spn(), 2)),
+            config,
+            Some(Arc::clone(&collector)),
+        )
+        .unwrap(),
     );
     let spec = ModelSpec::new(bench.name(), scheduler, nf, 256);
     let server = SpnServer::serve(
@@ -631,14 +581,12 @@ fn trace_ids_propagate_from_wire_to_device_spans() {
 fn shutdown_drains_admitted_requests_then_refuses_new_ones() {
     let bench = NipsBenchmark::Nips10;
     let nf = bench.num_vars() as u32;
-    let mut server = start_server(
-        bench,
-        BatchPolicy {
+    let mut server = start_server(bench, |c| {
+        c.batch = BatchPolicy {
             max_batch_samples: 1 << 20,
             max_batch_delay: Duration::from_millis(120),
-        },
-        1 << 20,
-    );
+        };
+    });
     let addr = server.local_addr();
 
     // Client A's request parks in the queue for ~120 ms.
@@ -688,17 +636,7 @@ fn host_plan_backend_serves_bit_exact_results_over_the_wire() {
     let nf = bench.num_vars() as u32;
     let spn = Arc::new(bench.build_spn());
 
-    let prog = DatapathProgram::compile(&spn);
-    let device = Arc::new(
-        VirtualDevice::new(
-            prog,
-            AnyFormat::paper_default(),
-            AcceleratorConfig::paper_default(),
-            2,
-            64 << 20,
-        )
-        .with_model(Arc::clone(&spn)),
-    );
+    let device = Arc::new(VirtualDevice::paper(&spn, 2).with_model(Arc::clone(&spn)));
     let config = RuntimeConfig::builder()
         .block_samples(512)
         .threads_per_pe(2)
@@ -749,7 +687,7 @@ fn host_plan_backend_serves_bit_exact_results_over_the_wire() {
 #[test]
 fn reconnect_preserves_dial_and_io_timeouts_independently() {
     let bench = NipsBenchmark::Nips10;
-    let server = start_server(bench, BatchPolicy::default(), 1 << 20);
+    let server = start_server(bench, |_| {});
     let dial = Duration::from_secs(2);
     let mut client = Client::connect_timeout(server.local_addr(), dial).unwrap();
     assert_eq!(client.dial_timeout(), Some(dial));
